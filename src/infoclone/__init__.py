@@ -8,108 +8,33 @@ truncated number-basis oracle cross-checks the transform dynamics, and a CLI
 drives reproducible, machine-readable experiments.
 """
 
-from .errors import (
-    AmplitudeTooLargeForCutoffError,
-    DegenerateSignalError,
-    DimensionMismatchError,
-    EmptyCouplingsError,
-    EpsilonOutOfRangeError,
-    InfoCloneError,
-    InvalidSineError,
-    MissingBetaError,
-    NonFiniteInputError,
-    StateTooLargeError,
-    StrategyMismatchError,
-    TooFewClonesError,
-    ZeroNormError,
-)
-from .estimation import (
-    EstimateSummary,
-    check_record,
-    clone_amplitude,
-    clone_linear_map,
-    estimate_alpha,
-    run_trials,
-    theoretical_std,
-)
-from .fock import (
-    MAX_AMPLITUDES,
-    FockState,
-    annihilation,
-    coherent_vector,
-    evolve,
-    fidelity,
-    product_state,
-)
-from .measurement import (
-    GROUP_MOMENTUM,
-    GROUP_POSITION,
-    QUADRATURE_STD,
-    MeasurementRecord,
-    SplitPolicy,
-    measure_clones,
-    sample_momentum,
-    sample_position,
-    substream,
-)
+from .errors import InfoCloneError
+from .estimation import EstimateSummary, run_trials
+from .fock import evolve, fidelity, product_state
 from .transform import (
     CouplingConfig,
     StrategyKind,
     StrategySpec,
     apply_transform,
-    build_coupling,
     build_transform,
     make_strategy,
     orthogonality_residual,
-    symmetric_clone_params,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeTooLargeForCutoffError",
     "CouplingConfig",
-    "DegenerateSignalError",
-    "DimensionMismatchError",
-    "EmptyCouplingsError",
-    "EpsilonOutOfRangeError",
     "EstimateSummary",
-    "FockState",
-    "GROUP_MOMENTUM",
-    "GROUP_POSITION",
     "InfoCloneError",
-    "InvalidSineError",
-    "MAX_AMPLITUDES",
-    "MeasurementRecord",
-    "MissingBetaError",
-    "NonFiniteInputError",
-    "QUADRATURE_STD",
-    "SplitPolicy",
-    "StateTooLargeError",
     "StrategyKind",
-    "StrategyMismatchError",
     "StrategySpec",
-    "TooFewClonesError",
-    "ZeroNormError",
-    "annihilation",
     "apply_transform",
-    "build_coupling",
     "build_transform",
-    "check_record",
-    "clone_amplitude",
-    "clone_linear_map",
-    "coherent_vector",
-    "estimate_alpha",
     "evolve",
     "fidelity",
     "make_strategy",
-    "measure_clones",
     "orthogonality_residual",
     "product_state",
     "run_trials",
-    "sample_momentum",
-    "sample_position",
-    "substream",
-    "symmetric_clone_params",
-    "theoretical_std",
 ]

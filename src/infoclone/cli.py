@@ -9,7 +9,7 @@ floats printed to 17 significant digits, so identical settings and seed
 reproduce identical output bytes.
 
 Exit codes: 0 success, 1 oracle fidelity below threshold, 2 usage or
-validation error.
+validation error, or a request too large for memory.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from .errors import InfoCloneError, require_seed
 from .estimation import EstimateSummary, run_trials
 from .fock import evolve, fidelity, product_state
 from .transform import (
+    CouplingConfig,
     StrategyKind,
-    build_coupling,
+    apply_transform,
     build_transform,
     make_strategy,
     orthogonality_residual,
-    symmetric_clone_params,
-    apply_transform,
 )
 
 __all__ = ["DEFAULT_SEED", "FIDELITY_THRESHOLD", "CSV_COLUMNS", "main", "console_main"]
@@ -59,7 +58,8 @@ CSV_COLUMNS = (
     "mean_im",
     "std_re",
     "std_im",
-    "theory_std",
+    "theory_std_re",
+    "theory_std_im",
 )
 
 _COMMON_DEFAULTS = {"seed": DEFAULT_SEED, "out": None, "format": "json"}
@@ -81,16 +81,8 @@ _DEFAULTS = {
         "alpha": 1 + 0j,
         "trials": DEFAULT_TRIALS,
     },
-    "sweep": {
-        "strategy": "optimal",
-        "n_copies": 100,
-        "epsilon": None,
-        "beta": None,
-        "alpha": 1 + 0j,
-        "trials": DEFAULT_TRIALS,
-        "grid": None,
-    },
 }
+_DEFAULTS["sweep"] = {**_DEFAULTS["estimate"], "grid": None}
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +206,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 raise InfoCloneError(f"unknown config key {key!r} for command {command!r}")
             cfg[key] = _COERCERS[key](value, key)
 
-    for key in (
-        "couplings",
-        "time",
-        "alpha",
-        "beta",
-        "cutoff",
-        "strategy",
-        "n_copies",
-        "epsilon",
-        "trials",
-        "seed",
-        "out",
-        "format",
-    ):
+    for key in _COERCERS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -378,44 +357,37 @@ def _summary_row(summary: EstimateSummary) -> dict:
         "mean_im": summary.mean_estimate.imag,
         "std_re": summary.std_re,
         "std_im": summary.std_im,
-        "theory_std": summary.theory_std,
+        "theory_std_re": summary.theory_std_re,
+        "theory_std_im": summary.theory_std_im,
     }
 
 
 def cmd_transform(cfg: dict) -> tuple[int, dict]:
-    config = build_coupling(_require(cfg, "couplings"), _require(cfg, "time"))
+    config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     matrix = build_transform(config)
-    sin_rt = math.sin(config.angle)
     alpha, beta = cfg["alpha"], cfg["beta"]
-    n_copies = len(config.couplings)
-    alpha_out, clone = symmetric_clone_params(alpha, beta, n_copies, sin_rt)
+    output = apply_transform(matrix, [alpha] + [beta] * len(config.couplings))
     report = {
         "command": "transform",
         "couplings": list(config.couplings),
         "time": config.time,
         "norm": config.norm,
         "angle": config.angle,
-        "sin_rt": sin_rt,
+        "sin_rt": math.sin(config.angle),
         "cos_rt": math.cos(config.angle),
         "matrix": [[float(entry) for entry in row] for row in matrix],
         "orthogonality_residual": orthogonality_residual(matrix),
-        "symmetric_clone": {
-            "n_copies": n_copies,
-            "alpha_re": alpha.real,
-            "alpha_im": alpha.imag,
-            "beta_re": beta.real,
-            "beta_im": beta.imag,
-            "alpha_out_re": alpha_out.real,
-            "alpha_out_im": alpha_out.imag,
-            "clone_re": clone.real,
-            "clone_im": clone.imag,
-        },
+        "alpha_re": alpha.real,
+        "alpha_im": alpha.imag,
+        "beta_re": beta.real,
+        "beta_im": beta.imag,
+        "output_amplitudes": [[z.real, z.imag] for z in output],
     }
     return 0, report
 
 
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
-    config = build_coupling(_require(cfg, "couplings"), _require(cfg, "time"))
+    config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     n_ancillas = len(config.couplings)
     if n_ancillas > 2:
         raise InfoCloneError(f"oracle supports at most 2 ancilla modes, got {n_ancillas}")
@@ -438,7 +410,7 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
         "beta_re": beta.real,
         "beta_im": beta.imag,
         "n_modes": n_ancillas + 1,
-        "state_size": (cutoff + 1) ** (n_ancillas + 1),
+        "state_size": initial.amplitudes.size,
         "predicted_amplitudes": [[z.real, z.imag] for z in predicted],
         "evolved_norm": evolved.norm(),
         "fidelity": fid,
@@ -544,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "transform",
         parents=[common, couplings, amplitudes],
-        help="report the amplitude rotation matrix and symmetric-clone parameters",
+        help="report the amplitude rotation matrix and its action on (alpha, beta, ..., beta)",
     )
     oracle = sub.add_parser(
         "oracle",
@@ -580,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         code, report = _COMMANDS[cfg["command"]](cfg)
         _write_output(render_report(report, cfg["format"]), cfg["out"])
         return code
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -26,10 +26,6 @@ class DimensionMismatchError(InfoCloneError):
     """Operands describe different mode counts or vector lengths."""
 
 
-class InvalidSineError(InfoCloneError):
-    """A sine value lies outside [-1, 1]."""
-
-
 class MissingBetaError(InfoCloneError):
     """The strategy needs a known reference amplitude beta but none was given."""
 
@@ -48,14 +44,6 @@ class AmplitudeTooLargeForCutoffError(InfoCloneError):
 
 class StateTooLargeError(InfoCloneError):
     """The truncated multimode state would exceed the amplitude budget."""
-
-
-class DegenerateSignalError(InfoCloneError):
-    """The clone map has zero signal coefficient and cannot be inverted."""
-
-
-class StrategyMismatchError(InfoCloneError):
-    """A measurement record is inconsistent with the claimed strategy."""
 
 
 def require_finite_real(value, name: str = "value") -> float:

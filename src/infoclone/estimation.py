@@ -6,9 +6,15 @@ y + i*z with expectation sqrt(2)*gamma, so the affine inversion
 
     alpha_est = ((y + i*z)/sqrt(2) - c*beta) / s
 
-is unbiased for every strategy. Its per-quadrature standard deviation is
-1/sqrt(2) for the optimal choice (for any number of clones), 1 for the
-offset choice, and (1/sqrt(2))/(1-epsilon) for the near-optimal choice.
+is unbiased for every strategy. A quadrature averaged over n_q clones has
+variance 1/(2*n_q), so that quadrature of the estimate has standard deviation
+
+    sqrt(N/(4*n_q)) / |sin_rt|,   (n_position, n_momentum) = (ceil(N/2), floor(N/2)).
+
+For even N both quadratures give 1/sqrt(2) for the optimal choice (for any
+number of clones), 1 for the offset choice, and (1/sqrt(2))/(1-epsilon) for
+the near-optimal choice. For odd N the position quadrature, measured on the
+larger group, is the tighter one.
 """
 
 from __future__ import annotations
@@ -18,21 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSignalError,
-    InfoCloneError,
-    StrategyMismatchError,
-    require_finite_complex,
-    require_seed,
-)
-from .measurement import MeasurementRecord, measure_clones
-from .transform import StrategyKind, StrategySpec
+from .errors import InfoCloneError, require_finite_complex, require_seed
+from .measurement import MeasurementRecord, group_sizes, measure_clones
+from .transform import StrategySpec
 
 __all__ = [
     "EstimateSummary",
-    "check_record",
     "clone_amplitude",
-    "clone_linear_map",
     "estimate_alpha",
     "run_trials",
     "theoretical_std",
@@ -46,8 +44,8 @@ class EstimateSummary:
     """Monte Carlo campaign statistics for one strategy and one true alpha.
 
     std_re and std_im are sample standard deviations (n_trials - 1 divisor)
-    of the per-trial estimates' quadratures; theory_std is the predicted
-    value for both.
+    of the per-trial estimates' quadratures; theory_std_re and theory_std_im
+    are their predicted values.
     """
 
     strategy: StrategySpec
@@ -56,57 +54,32 @@ class EstimateSummary:
     mean_estimate: complex
     std_re: float
     std_im: float
-    theory_std: float
+    theory_std_re: float
+    theory_std_im: float
     seed: int
-
-
-def clone_linear_map(strategy: StrategySpec) -> tuple[float, float]:
-    """The (signal, offset) coefficients of gamma = s*alpha + c*beta."""
-    s = strategy.signal_scale
-    if s == 0.0:
-        raise DegenerateSignalError("clone map carries no alpha signal")
-    return s, strategy.offset_scale
 
 
 def clone_amplitude(strategy: StrategySpec, alpha: complex) -> complex:
     """Per-clone amplitude produced from the held amplitude alpha."""
     alpha = require_finite_complex(alpha, "alpha")
-    s, c = clone_linear_map(strategy)
-    return s * alpha + c * strategy.beta
+    return strategy.signal_scale * alpha + strategy.offset_scale * strategy.beta
 
 
 def estimate_alpha(record: MeasurementRecord, strategy: StrategySpec) -> complex:
     """Invert the clone map on the measured group averages."""
-    s, c = clone_linear_map(strategy)
-    return (complex(record.y, record.z) / _SQRT2 - c * strategy.beta) / s
+    shifted = complex(record.y, record.z) / _SQRT2 - strategy.offset_scale * strategy.beta
+    return shifted / strategy.signal_scale
 
 
-def theoretical_std(strategy: StrategySpec) -> float:
-    """Predicted per-quadrature standard deviation of the estimate."""
-    if strategy.kind is StrategyKind.OPTIMAL:
-        return math.sqrt(0.5)
-    if strategy.kind is StrategyKind.OFFSET:
-        return 1.0
-    return math.sqrt(0.5) / (1.0 - strategy.epsilon)
-
-
-def check_record(
-    record: MeasurementRecord,
-    strategy: StrategySpec,
-    true_alpha: complex,
-    tol: float = 1e-9,
-) -> None:
-    """Check a record's clone amplitude against a strategy and a known alpha.
-
-    Only meaningful in harnesses where the true alpha is known; estimation
-    itself never sees alpha and performs no such check.
-    """
-    expected = clone_amplitude(strategy, true_alpha)
-    if abs(record.clone_amplitude - expected) > tol:
-        raise StrategyMismatchError(
-            f"record carries clone amplitude {record.clone_amplitude!r} but the "
-            f"strategy predicts {expected!r}"
-        )
+def theoretical_std(strategy: StrategySpec) -> tuple[float, float]:
+    """Predicted (real, imaginary) standard deviation of the estimate."""
+    n = strategy.n_copies
+    n_position, n_momentum = group_sizes(n)
+    scale = abs(strategy.sin_rt)
+    return (
+        math.sqrt(n / (4.0 * n_position)) / scale,
+        math.sqrt(n / (4.0 * n_momentum)) / scale,
+    )
 
 
 def run_trials(
@@ -132,6 +105,7 @@ def run_trials(
     for i in range(m):
         record = measure_clones(gamma, n, seed, trial_index=i)
         estimates[i] = estimate_alpha(record, strategy)
+    theory_std_re, theory_std_im = theoretical_std(strategy)
     return EstimateSummary(
         strategy=strategy,
         true_alpha=true_alpha,
@@ -139,6 +113,7 @@ def run_trials(
         mean_estimate=complex(estimates.mean()),
         std_re=float(estimates.real.std(ddof=1)),
         std_im=float(estimates.imag.std(ddof=1)),
-        theory_std=theoretical_std(strategy),
+        theory_std_re=theory_std_re,
+        theory_std_im=theory_std_im,
         seed=seed,
     )

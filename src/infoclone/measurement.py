@@ -15,7 +15,6 @@ trials can run in parallel.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -28,10 +27,8 @@ __all__ = [
     "GROUP_POSITION",
     "QUADRATURE_STD",
     "MeasurementRecord",
-    "SplitPolicy",
+    "group_sizes",
     "measure_clones",
-    "sample_momentum",
-    "sample_position",
     "substream",
 ]
 
@@ -44,28 +41,23 @@ GROUP_MOMENTUM = 1
 _SQRT2 = math.sqrt(2.0)
 
 
-class SplitPolicy(enum.Enum):
-    """How the N clones are divided between the two measurement groups."""
-
-    # ceil(N/2) position measurements, floor(N/2) momentum measurements
-    EVEN_SPLIT = "even"
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Group averages from measuring N clones that all carry amplitude gamma.
 
-    y is the mean of the position samples, z the mean of the momentum
-    samples; clone_amplitude is the per-clone parameter gamma that was
-    measured, and seed is the stream seed that reproduces the record.
+    y is the mean of the position samples, z the mean of the momentum samples.
     """
 
     y: float
     z: float
-    n_position: int
-    n_momentum: int
-    clone_amplitude: complex
-    seed: int
+
+
+def group_sizes(n_copies: int) -> tuple[int, int]:
+    """(n_position, n_momentum) = (ceil(N/2), floor(N/2)) for N clones."""
+    n = int(n_copies)
+    if n < 2:
+        raise TooFewClonesError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
+    return (n + 1) // 2, n // 2
 
 
 def substream(seed: int, trial_index: int, group_tag: int) -> np.random.Generator:
@@ -77,48 +69,22 @@ def substream(seed: int, trial_index: int, group_tag: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key))
 
 
-def sample_position(gamma: complex, rng: np.random.Generator) -> float:
-    """One position draw from Normal(sqrt(2)*Re(gamma), 1/2)."""
-    gamma = require_finite_complex(gamma, "gamma")
-    return float(rng.normal(_SQRT2 * gamma.real, QUADRATURE_STD))
-
-
-def sample_momentum(gamma: complex, rng: np.random.Generator) -> float:
-    """One momentum draw from Normal(sqrt(2)*Im(gamma), 1/2)."""
-    gamma = require_finite_complex(gamma, "gamma")
-    return float(rng.normal(_SQRT2 * gamma.imag, QUADRATURE_STD))
-
-
 def measure_clones(
     gamma: complex,
     n_copies: int,
     seed: int,
-    split: SplitPolicy = SplitPolicy.EVEN_SPLIT,
     trial_index: int = 0,
 ) -> MeasurementRecord:
     """Measure N clones, position on one group and momentum on the other.
 
-    Batched draws from a group's stream coincide with repeated single draws,
-    so the record is exactly what per-clone calls to :func:`sample_position`
-    and :func:`sample_momentum` on the two substreams would produce.
+    The groups have the sizes :func:`group_sizes` gives, and each draws its
+    samples in one batch from its own substream.
     """
     gamma = require_finite_complex(gamma, "gamma")
-    n = int(n_copies)
-    if n < 2:
-        raise TooFewClonesError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
-    split = SplitPolicy(split)
+    n_position, n_momentum = group_sizes(n_copies)
     seed = require_seed(seed)
-    n_position = (n + 1) // 2
-    n_momentum = n // 2
     rng_pos = substream(seed, trial_index, GROUP_POSITION)
     rng_mom = substream(seed, trial_index, GROUP_MOMENTUM)
     y = float(rng_pos.normal(_SQRT2 * gamma.real, QUADRATURE_STD, size=n_position).mean())
     z = float(rng_mom.normal(_SQRT2 * gamma.imag, QUADRATURE_STD, size=n_momentum).mean())
-    return MeasurementRecord(
-        y=y,
-        z=z,
-        n_position=n_position,
-        n_momentum=n_momentum,
-        clone_amplitude=gamma,
-        seed=seed,
-    )
+    return MeasurementRecord(y=y, z=z)

@@ -24,7 +24,6 @@ from .errors import (
     EmptyCouplingsError,
     EpsilonOutOfRangeError,
     InfoCloneError,
-    InvalidSineError,
     MissingBetaError,
     NonFiniteInputError,
     TooFewClonesError,
@@ -38,17 +37,18 @@ __all__ = [
     "StrategyKind",
     "StrategySpec",
     "apply_transform",
-    "build_coupling",
     "build_transform",
     "make_strategy",
     "orthogonality_residual",
-    "symmetric_clone_params",
 ]
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Couplings r_1..r_N and interaction time t, with the derived norm R."""
+    """Couplings r_1..r_N and interaction time t, with the derived norm R.
+
+    Any sequence of real couplings is accepted and stored as a tuple.
+    """
 
     couplings: tuple[float, ...]
     time: float
@@ -74,11 +74,6 @@ class CouplingConfig:
     def angle(self) -> float:
         """Rotation angle R*t."""
         return self.norm * self.time
-
-
-def build_coupling(couplings: Sequence[float], time: float) -> CouplingConfig:
-    """Validate couplings and time and package them with the norm R."""
-    return CouplingConfig(tuple(couplings), time)
 
 
 def build_transform(config: CouplingConfig) -> np.ndarray:
@@ -130,37 +125,6 @@ def apply_transform(matrix: np.ndarray, amplitudes: Sequence[complex]) -> np.nda
     return m @ v
 
 
-def symmetric_clone_params(
-    alpha: complex, beta: complex, n_copies: int, sin_rt: float
-) -> tuple[complex, complex]:
-    """Closed-form outputs for N equal couplings and equal ancilla amplitudes.
-
-    Returns (alpha_out, clone) with
-
-        clone     = -(alpha / sqrt(N)) * sin_rt + beta * cos_rt
-        alpha_out = alpha * cos_rt + sqrt(N) * beta * sin_rt
-
-    where cos_rt is fixed to the non-negative branch +sqrt(1 - sin_rt^2).
-    With that branch the clone at sin_rt = 1/sqrt(2) is
-    -alpha/sqrt(2N) + beta/sqrt(2); the attenuated signal keeps the sign the
-    rotation produces, and estimation inverts it consistently. At
-    sin_rt = -1 the clone is exactly alpha/sqrt(N), independent of beta.
-    """
-    alpha = require_finite_complex(alpha, "alpha")
-    beta = require_finite_complex(beta, "beta")
-    n = int(n_copies)
-    if n < 1:
-        raise InfoCloneError(f"n_copies must be >= 1, got {n_copies!r}")
-    s = require_finite_real(sin_rt, "sin_rt")
-    if abs(s) > 1.0:
-        raise InvalidSineError(f"sin_rt must lie in [-1, 1], got {sin_rt!r}")
-    c = math.sqrt(max(0.0, 1.0 - s * s))
-    root_n = math.sqrt(n)
-    clone = -(alpha / root_n) * s + beta * c
-    alpha_out = alpha * c + root_n * beta * s
-    return alpha_out, clone
-
-
 class StrategyKind(enum.Enum):
     """The three analyzed choices of sin(R*t) for symmetric cloning."""
 
@@ -178,6 +142,11 @@ class StrategySpec:
     scale is c = +sqrt(1 - sin_rt^2); beta is the known reference amplitude
     multiplying c. For OPTIMAL the offset scale is exactly zero and beta is
     irrelevant (stored as 0).
+
+    This is the closed form of :func:`build_transform` for N equal couplings
+    at the angle R*t = asin(sin_rt), where cos(R*t) >= 0: every ancilla
+    output of (alpha, beta, ..., beta) is then gamma. sin_rt = -1 gives
+    gamma = alpha/sqrt(N) whatever beta is.
     """
 
     kind: StrategyKind

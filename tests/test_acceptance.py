@@ -8,16 +8,16 @@ import pytest
 from scipy.linalg import expm
 
 from infoclone import (
+    CouplingConfig,
     apply_transform,
-    build_coupling,
     build_transform,
     evolve,
     fidelity,
-    measure_clones,
     orthogonality_residual,
     product_state,
 )
 from infoclone.cli import main
+from infoclone.measurement import measure_clones
 
 ALPHA = "1.5,-0.5"
 ALPHA_C = 1.5 - 0.5j
@@ -188,7 +188,7 @@ def test_criterion_7_transform_structure(acceptance):
                 break
         t1 = float(rng.uniform(-10.0, 10.0))
         t2 = float(rng.uniform(-10.0, 10.0))
-        u1 = build_transform(build_coupling(r, t1))
+        u1 = build_transform(CouplingConfig(r, t1))
         worst_ortho = max(worst_ortho, orthogonality_residual(u1))
 
         g = np.zeros((n + 1, n + 1))
@@ -196,8 +196,8 @@ def test_criterion_7_transform_structure(acceptance):
         g[1:, 0] = -t1 * r
         worst_expm = max(worst_expm, float(np.abs(u1 - expm(g)).max()))
 
-        u2 = build_transform(build_coupling(r, t2))
-        u12 = build_transform(build_coupling(r, t1 + t2))
+        u2 = build_transform(CouplingConfig(r, t2))
+        u12 = build_transform(CouplingConfig(r, t1 + t2))
         worst_group = max(worst_group, float(np.abs(u1 @ u2 - u12).max()))
 
         v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
@@ -228,7 +228,7 @@ def test_criterion_8_disentanglement_oracle(acceptance):
 
     for _ in range(50):
         r = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        cfg = build_coupling([r], float(rng.uniform(-3.0, 3.0)))
+        cfg = CouplingConfig([r], float(rng.uniform(-3.0, 3.0)))
         amps = [random_amplitude(), random_amplitude()]
         evolved = evolve(product_state(amps, 25), cfg)
         predicted = product_state(apply_transform(build_transform(cfg), amps), 25)
@@ -238,7 +238,7 @@ def test_criterion_8_disentanglement_oracle(acceptance):
             r = rng.uniform(-1.5, 1.5, size=2)
             if np.any(r != 0.0):
                 break
-        cfg = build_coupling(r, float(rng.uniform(-2.0, 2.0)))
+        cfg = CouplingConfig(r, float(rng.uniform(-2.0, 2.0)))
         amps = [random_amplitude() for _ in range(3)]
         evolved = evolve(product_state(amps, 12), cfg)
         predicted = product_state(apply_transform(build_transform(cfg), amps), 12)

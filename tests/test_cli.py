@@ -5,9 +5,11 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from infoclone.cli import CSV_COLUMNS, DEFAULT_SEED, main
+from infoclone import make_strategy, run_trials
+from infoclone.cli import CSV_COLUMNS, DEFAULT_SEED, _summary_row, main
 
 
 def load_schema():
@@ -59,6 +61,25 @@ class TestTransformCommand:
         assert lines[0] == "field,value"
         assert any(line.startswith("command,transform") for line in lines)
 
+    @pytest.mark.parametrize(
+        "couplings, time",
+        [("1,2", "0.4"), ("1,1", "2.5")],
+        ids=["unequal-couplings", "negative-cosine"],
+    )
+    def test_output_amplitudes_are_matrix_action(self, run_cli, couplings, time):
+        code, out = run_cli(
+            "transform", "--couplings", couplings, "--time", time,
+            "--alpha=0.3,-1.2", "--beta=0.5,0.25",
+        )
+        assert code == 0
+        report = validate(out)
+        v = np.array([0.3 - 1.2j, 0.5 + 0.25j, 0.5 + 0.25j])
+        expected = np.array(report["matrix"]) @ v
+        actual = np.array([complex(re, im) for re, im in report["output_amplitudes"]])
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-15)
+        assert (report["alpha_re"], report["alpha_im"]) == (0.3, -1.2)
+        assert (report["beta_re"], report["beta_im"]) == (0.5, 0.25)
+
 
 class TestOracleCommand:
     def test_quarter_turn_passes(self, run_cli):
@@ -104,7 +125,7 @@ class TestEstimateCommand:
         assert row["n_copies"] == 100
         assert row["epsilon"] is None
         assert row["sin_rt"] == -1
-        assert row["theory_std"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert row["theory_std_re"] == row["theory_std_im"] == math.sqrt(0.5)
         assert row["seed"] == 42
         assert row["std_re"] == pytest.approx(math.sqrt(0.5), rel=0.05)
 
@@ -131,6 +152,12 @@ class TestEstimateCommand:
         lines = out.decode("utf-8").split("\r\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len([line for line in lines if line]) == 2
+
+    def test_memory_error_exit_code(self, run_cli, capsys):
+        # numpy refuses the 7.28 TiB sample request before allocating anything
+        code, _ = run_cli("estimate", "--n-copies", "2000000000000", "--trials", "2")
+        assert code == 2
+        assert "MemoryError" in capsys.readouterr().err
 
     def test_zero_trials(self, run_cli):
         code, _ = run_cli("estimate", "--trials", "0")
@@ -228,7 +255,7 @@ class TestSweepCommand:
         rows = validate(out)["rows"]
         for row, eps in zip(rows, (0.05, 0.2)):
             assert row["epsilon"] == pytest.approx(eps)
-            assert row["theory_std"] == pytest.approx(math.sqrt(0.5) / (1 - eps), rel=1e-12)
+            assert row["theory_std_re"] == row["theory_std_im"] == math.sqrt(0.5) / (1 - eps)
 
     def test_epsilon_grid_needs_near_optimal(self, run_cli):
         code, _ = run_cli(
@@ -285,6 +312,14 @@ class TestReproducibility:
         _, first = run_cli(*args)
         _, second = run_cli(*args)
         assert first == second
+
+
+def test_row_columns_agree():
+    summary = run_trials(make_strategy("optimal", 2), 0j, 2, seed=0)
+    row_schema = SCHEMA["$defs"]["row"]
+    assert list(row_schema["properties"]) == list(CSV_COLUMNS)
+    assert row_schema["required"] == list(CSV_COLUMNS)
+    assert list(_summary_row(summary)) == list(CSV_COLUMNS)
 
 
 def test_module_entry_point(tmp_path):

@@ -1,38 +1,18 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from infoclone import (
-    DegenerateSignalError,
-    InfoCloneError,
-    MeasurementRecord,
-    StrategyMismatchError,
-    check_record,
-    clone_amplitude,
-    clone_linear_map,
-    estimate_alpha,
-    make_strategy,
-    measure_clones,
-    run_trials,
-    symmetric_clone_params,
-    theoretical_std,
-)
+from infoclone import InfoCloneError, make_strategy, run_trials
+from infoclone.estimation import clone_amplitude, estimate_alpha, theoretical_std
+from infoclone.measurement import MeasurementRecord, measure_clones
 
 SQRT2 = math.sqrt(2.0)
 
 
-def noise_free_record(gamma, n=100, seed=0):
+def noise_free_record(gamma):
     """Record whose group averages sit exactly at their expectations."""
-    return MeasurementRecord(
-        y=SQRT2 * gamma.real,
-        z=SQRT2 * gamma.imag,
-        n_position=n // 2,
-        n_momentum=n // 2,
-        clone_amplitude=gamma,
-        seed=seed,
-    )
+    return MeasurementRecord(y=SQRT2 * gamma.real, z=SQRT2 * gamma.imag)
 
 
 def raw_estimates(strategy, alpha, n_trials, seed):
@@ -48,38 +28,17 @@ def raw_estimates(strategy, alpha, n_trials, seed):
 
 class TestCloneLinearMap:
     def test_optimal(self):
-        assert clone_linear_map(make_strategy("optimal", 4)) == (0.5, 0.0)
+        assert clone_amplitude(make_strategy("optimal", 4), 2.0 - 4.0j) == 1.0 - 2.0j
 
     def test_offset(self):
-        s, c = clone_linear_map(make_strategy("offset", 2, beta=5.0))
-        assert abs(s) == pytest.approx(0.5, rel=1e-15)
-        assert c == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        gamma = clone_amplitude(make_strategy("offset", 2, beta=5.0), 1.0j)
+        assert gamma.real == pytest.approx(5.0 * math.sqrt(0.5), rel=1e-15)
+        assert gamma.imag == pytest.approx(-0.5, rel=1e-15)
 
     def test_near_optimal(self):
-        s, c = clone_linear_map(make_strategy("near-optimal", 100, epsilon=0.1, beta=3.0))
-        assert s == pytest.approx(0.09, rel=1e-15)
-        assert c == pytest.approx(math.sqrt(0.19), rel=1e-12)
-
-    def test_matches_symmetric_clone_formula(self):
-        rng = np.random.default_rng(3)
-        strategies = [
-            make_strategy("optimal", 25),
-            make_strategy("offset", 8, beta=2.0 - 1.5j),
-            make_strategy("near-optimal", 50, epsilon=0.3, beta=-4.0 + 0.5j),
-        ]
-        for strategy in strategies:
-            s, c = clone_linear_map(strategy)
-            for _ in range(20):
-                alpha = complex(rng.normal(), rng.normal())
-                _, clone = symmetric_clone_params(
-                    alpha, strategy.beta, strategy.n_copies, strategy.sin_rt
-                )
-                assert abs(clone - (s * alpha + c * strategy.beta)) <= 1e-12
-
-    def test_degenerate_signal(self):
-        fake = SimpleNamespace(signal_scale=0.0, offset_scale=1.0, beta=0j)
-        with pytest.raises(DegenerateSignalError):
-            clone_linear_map(fake)
+        gamma = clone_amplitude(make_strategy("near-optimal", 100, epsilon=0.1, beta=3.0), 1.0j)
+        assert gamma.real == pytest.approx(3.0 * math.sqrt(0.19), rel=1e-12)
+        assert gamma.imag == pytest.approx(0.09, rel=1e-15)
 
 
 class TestEstimateAlpha:
@@ -91,7 +50,7 @@ class TestEstimateAlpha:
 
     def test_offset_cancels_reference(self):
         strategy = make_strategy("offset", 10, beta=5.0)
-        record = noise_free_record(clone_amplitude(strategy, 0j), n=10)
+        record = noise_free_record(clone_amplitude(strategy, 0j))
         assert abs(estimate_alpha(record, strategy)) <= 1e-12
 
     def test_near_optimal_inversion(self):
@@ -104,29 +63,35 @@ class TestEstimateAlpha:
 class TestTheoreticalStd:
     def test_optimal_independent_of_copies(self):
         for n in (2, 10, 1000):
-            assert theoretical_std(make_strategy("optimal", n)) == math.sqrt(0.5)
+            assert theoretical_std(make_strategy("optimal", n)) == (math.sqrt(0.5),) * 2
 
     def test_offset(self):
-        assert theoretical_std(make_strategy("offset", 7, beta=1.0)) == 1.0
+        assert theoretical_std(make_strategy("offset", 8, beta=1.0)) == (1.0, 1.0)
+        std_re, std_im = theoretical_std(make_strategy("offset", 7, beta=1.0))
+        assert std_re == pytest.approx(math.sqrt(7 / 8), rel=1e-15)
+        assert std_im == pytest.approx(math.sqrt(7 / 6), rel=1e-15)
 
     def test_near_optimal(self):
-        value = theoretical_std(make_strategy("near-optimal", 7, epsilon=0.1, beta=1.0))
-        assert value == pytest.approx(math.sqrt(0.5) / 0.9, rel=1e-15)
-        assert value == pytest.approx(0.7857, abs=5e-5)
+        value = theoretical_std(make_strategy("near-optimal", 8, epsilon=0.1, beta=1.0))
+        assert value == (math.sqrt(0.5) / (1.0 - 0.1),) * 2
+        assert value[0] == pytest.approx(0.7857, abs=5e-5)
+        std_re, std_im = theoretical_std(make_strategy("near-optimal", 7, epsilon=0.1, beta=1.0))
+        assert std_re == pytest.approx(math.sqrt(7 / 16) / 0.9, rel=1e-15)
+        assert std_im == pytest.approx(math.sqrt(7 / 12) / 0.9, rel=1e-15)
 
-
-class TestCheckRecord:
-    def test_accepts_consistent_record(self):
-        strategy = make_strategy("offset", 6, beta=2.0)
-        alpha = 0.4 + 0.9j
-        record = noise_free_record(clone_amplitude(strategy, alpha), n=6)
-        check_record(record, strategy, alpha)
-
-    def test_rejects_mismatched_record(self):
-        strategy = make_strategy("offset", 6, beta=2.0)
-        record = noise_free_record(0.123 + 0j, n=6)
-        with pytest.raises(StrategyMismatchError):
-            check_record(record, strategy, 0.4 + 0.9j)
+    def test_odd_copies(self):
+        # ceil(N/2) = (N+1)/2 clones are measured in position, floor(N/2) = (N-1)/2 in momentum
+        assert theoretical_std(make_strategy("optimal", 3)) == (0.6123724356957945, 0.8660254037844386)
+        for n in (3, 5, 101):
+            for strategy in (
+                make_strategy("optimal", n),
+                make_strategy("offset", n, beta=1.0),
+                make_strategy("near-optimal", n, epsilon=0.2, beta=1.0),
+            ):
+                std_re, std_im = theoretical_std(strategy)
+                scale = abs(strategy.sin_rt)
+                assert std_re == pytest.approx(math.sqrt(n / (2 * (n + 1))) / scale, rel=1e-15)
+                assert std_im == pytest.approx(math.sqrt(n / (2 * (n - 1))) / scale, rel=1e-15)
 
 
 class TestRunTrials:
@@ -170,9 +135,9 @@ class TestRunTrials:
         alpha = 2.1 - 3.4j
         trials = 20000
         summary = run_trials(strategy, alpha, trials, seed=8)
-        bound = 5.0 * summary.theory_std / math.sqrt(trials)
-        assert abs(summary.mean_estimate.real - alpha.real) <= bound
-        assert abs(summary.mean_estimate.imag - alpha.imag) <= bound
+        scale = 5.0 / math.sqrt(trials)
+        assert abs(summary.mean_estimate.real - alpha.real) <= scale * summary.theory_std_re
+        assert abs(summary.mean_estimate.imag - alpha.imag) <= scale * summary.theory_std_im
 
     def test_unbiased_at_random_alpha(self):
         rng = np.random.default_rng(44)
@@ -185,9 +150,9 @@ class TestRunTrials:
             for _ in range(2):
                 alpha = complex(rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5))
                 summary = run_trials(strategy, alpha, 5000, seed=int(rng.integers(2**32)))
-                bound = 5.0 * summary.theory_std / math.sqrt(summary.n_trials)
-                assert abs(summary.mean_estimate.real - alpha.real) <= bound
-                assert abs(summary.mean_estimate.imag - alpha.imag) <= bound
+                scale = 5.0 / math.sqrt(summary.n_trials)
+                assert abs(summary.mean_estimate.real - alpha.real) <= scale * summary.theory_std_re
+                assert abs(summary.mean_estimate.imag - alpha.imag) <= scale * summary.theory_std_im
 
     def test_estimates_are_gaussian(self):
         # group averages of Gaussians are Gaussian, so the standardized

@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from infoclone import (
+from infoclone.errors import (
     AmplitudeTooLargeForCutoffError,
-    FockState,
+    DimensionMismatchError,
     InfoCloneError,
     StateTooLargeError,
+)
+from infoclone.fock import (
+    FockState,
     annihilation,
-    apply_transform,
-    build_coupling,
-    build_transform,
     coherent_vector,
     evolve,
     fidelity,
     product_state,
 )
-from infoclone.errors import DimensionMismatchError
+from infoclone.transform import CouplingConfig, apply_transform, build_transform
 
 
 class TestCoherentVector:
@@ -87,19 +87,19 @@ class TestOperators:
 
 class TestEvolve:
     def test_vacuum_is_fixed(self):
-        cfg = build_coupling([0.7, -1.1], 1.3)
+        cfg = CouplingConfig([0.7, -1.1], 1.3)
         vac = product_state([0.0, 0.0, 0.0], 8)
         out = evolve(vac, cfg)
         assert fidelity(out, vac) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_time_is_identity(self):
-        cfg = build_coupling([1.0], 0.0)
+        cfg = CouplingConfig([1.0], 0.0)
         state = product_state([0.5 + 0.2j, -0.3j], 20)
         out = evolve(state, cfg)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_quarter_turn_single_ancilla(self):
-        cfg = build_coupling([1.0], math.pi / 2)
+        cfg = CouplingConfig([1.0], math.pi / 2)
         out = evolve(product_state([0.6, 0.0], 25), cfg)
         predicted = product_state([0.0, -0.6], 25)
         assert fidelity(out, predicted) >= 0.999
@@ -108,21 +108,21 @@ class TestEvolve:
     def test_norm_preserved(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
-            cfg = build_coupling(rng.uniform(-2.0, 2.0, size=2), float(rng.uniform(-3, 3)))
+            cfg = CouplingConfig(rng.uniform(-2.0, 2.0, size=2), float(rng.uniform(-3, 3)))
             amps = [complex(*rng.uniform(-0.55, 0.55, 2)) for _ in range(3)]
             state = product_state(amps, 12)
             out = evolve(state, cfg)
             assert abs(out.norm() - state.norm()) <= 1e-8
 
     def test_mode_count_mismatch(self):
-        cfg = build_coupling([1.0, 1.0], 0.5)
+        cfg = CouplingConfig([1.0, 1.0], 0.5)
         with pytest.raises(DimensionMismatchError):
             evolve(product_state([0.1, 0.1], 10), cfg)
 
     def test_products_stay_products_single_ancilla(self):
         rng = np.random.default_rng(22)
         for _ in range(6):
-            cfg = build_coupling([float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))],
+            cfg = CouplingConfig([float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))],
                                  float(rng.uniform(-3.0, 3.0)))
             amps = [complex(*rng.uniform(-0.57, 0.57, 2)) for _ in range(2)]
             evolved = evolve(product_state(amps, 25), cfg)
@@ -132,7 +132,7 @@ class TestEvolve:
     def test_products_stay_products_two_ancillas(self):
         rng = np.random.default_rng(23)
         for _ in range(3):
-            cfg = build_coupling(rng.uniform(-1.5, 1.5, size=2), float(rng.uniform(-2.0, 2.0)))
+            cfg = CouplingConfig(rng.uniform(-1.5, 1.5, size=2), float(rng.uniform(-2.0, 2.0)))
             amps = [complex(*rng.uniform(-0.57, 0.57, 2)) for _ in range(3)]
             evolved = evolve(product_state(amps, 12), cfg)
             predicted = product_state(apply_transform(build_transform(cfg), amps), 12)

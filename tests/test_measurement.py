@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from infoclone import (
+from infoclone.errors import InfoCloneError, TooFewClonesError
+from infoclone.measurement import (
     GROUP_MOMENTUM,
     GROUP_POSITION,
     QUADRATURE_STD,
-    InfoCloneError,
-    TooFewClonesError,
+    group_sizes,
     measure_clones,
-    sample_momentum,
-    sample_position,
     substream,
 )
 
@@ -24,13 +22,6 @@ def batched_position(gamma, seed, trial, size):
 
 
 class TestSamplers:
-    def test_single_draws_match_batched_stream(self):
-        # batching draws from one stream must not change the values
-        gamma = 0.3 - 0.8j
-        rng = substream(99, 0, GROUP_POSITION)
-        singles = np.array([sample_position(gamma, rng) for _ in range(2000)])
-        np.testing.assert_array_equal(singles, batched_position(gamma, 99, 0, 2000))
-
     def test_position_mean_centered(self):
         draws = batched_position(0j, 7, 0, 10**6)
         assert abs(draws.mean()) <= 4.0 * QUADRATURE_STD / 1e3
@@ -49,33 +40,29 @@ class TestSamplers:
         gamma = 1j * 3.0 / math.sqrt(9)
         rng = substream(10, 0, GROUP_MOMENTUM)
         draws = rng.normal(SQRT2 * gamma.imag, QUADRATURE_STD, size=10**6)
-        singles_rng = substream(10, 0, GROUP_MOMENTUM)
-        singles = np.array([sample_momentum(gamma, singles_rng) for _ in range(1000)])
-        np.testing.assert_array_equal(singles, draws[:1000])
         assert draws.mean() == pytest.approx(SQRT2, abs=4.0 * QUADRATURE_STD / 1e3)
         assert draws.var(ddof=1) == pytest.approx(0.5, abs=0.005)
 
     def test_momentum_centered_for_zero_amplitude(self):
-        rng = substream(11, 0, GROUP_MOMENTUM)
-        draws = np.array([sample_momentum(0j, rng) for _ in range(20000)])
+        draws = substream(11, 0, GROUP_MOMENTUM).normal(0.0, QUADRATURE_STD, size=20000)
         assert abs(draws.mean()) <= 5.0 * QUADRATURE_STD / math.sqrt(20000)
+
+
+class TestGroupSizes:
+    def test_even_split_counts(self):
+        assert group_sizes(5) == (3, 2)
+        for n in (2, 3, 4, 7, 100):
+            n_position, n_momentum = group_sizes(n)
+            assert n_position == (n + 1) // 2
+            assert n_momentum == n // 2
+            assert n_position + n_momentum == n
 
 
 class TestMeasureClones:
     def test_two_clones_single_draw_per_group(self):
         record = measure_clones(0j, 2, seed=5)
-        assert record.n_position == 1
-        assert record.n_momentum == 1
         assert record.y == batched_position(0j, 5, 0, 1)[0]
-
-    def test_even_split_counts(self):
-        record = measure_clones(0.1j, 5, seed=5)
-        assert (record.n_position, record.n_momentum) == (3, 2)
-        for n in (2, 3, 4, 7, 100):
-            rec = measure_clones(0.1j, n, seed=5)
-            assert rec.n_position == (n + 1) // 2
-            assert rec.n_momentum == n // 2
-            assert rec.n_position + rec.n_momentum == n
+        assert record.z == substream(5, 0, GROUP_MOMENTUM).normal(0.0, QUADRATURE_STD)
 
     def test_too_few_clones(self):
         with pytest.raises(TooFewClonesError):
@@ -90,10 +77,11 @@ class TestMeasureClones:
         # the position average only depends on the position substream
         gamma = 0.7 + 0.2j
         record = measure_clones(gamma, 9, seed=31, trial_index=4)
-        pos = batched_position(gamma, 31, 4, record.n_position)
+        n_position, n_momentum = group_sizes(9)
+        pos = batched_position(gamma, 31, 4, n_position)
         assert record.y == pos.mean()
         mom = substream(31, 4, GROUP_MOMENTUM).normal(
-            SQRT2 * gamma.imag, QUADRATURE_STD, size=record.n_momentum
+            SQRT2 * gamma.imag, QUADRATURE_STD, size=n_momentum
         )
         assert record.z == mom.mean()
 
@@ -106,11 +94,6 @@ class TestMeasureClones:
         a = measure_clones(0.1, 4, seed=9)
         b = measure_clones(0.1, 4, seed=10)
         assert (a.y, a.z) != (b.y, b.z)
-
-    def test_record_carries_inputs(self):
-        record = measure_clones(0.5 - 0.1j, 6, seed=77)
-        assert record.clone_amplitude == 0.5 - 0.1j
-        assert record.seed == 77
 
     def test_seed_validation(self):
         with pytest.raises(InfoCloneError):

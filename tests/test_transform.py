@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from infoclone import (
+from infoclone.errors import (
+    DimensionMismatchError,
     EmptyCouplingsError,
     EpsilonOutOfRangeError,
     InfoCloneError,
-    InvalidSineError,
     MissingBetaError,
     NonFiniteInputError,
-    StrategyKind,
     TooFewClonesError,
     ZeroNormError,
+)
+from infoclone.transform import (
+    CouplingConfig,
+    StrategyKind,
     apply_transform,
-    build_coupling,
     build_transform,
     make_strategy,
     orthogonality_residual,
-    symmetric_clone_params,
 )
-from infoclone.errors import DimensionMismatchError
 
 
 def generator_exponential(couplings, time):
@@ -41,52 +41,52 @@ def random_config(rng, max_modes=8):
         if np.any(r != 0.0):
             break
     t = float(rng.uniform(-10.0, 10.0))
-    return build_coupling(r, t)
+    return CouplingConfig(r, t)
 
 
 class TestBuildCoupling:
     def test_single_coupling(self):
-        cfg = build_coupling([1.0], math.pi / 2)
+        cfg = CouplingConfig([1.0], math.pi / 2)
         assert cfg.norm == 1.0
         assert cfg.angle == math.pi / 2
 
     def test_three_four_five(self):
-        assert build_coupling([3.0, 4.0], 1.0).norm == 5.0
+        assert CouplingConfig([3.0, 4.0], 1.0).norm == 5.0
 
     def test_four_unit_couplings(self):
-        assert build_coupling([1, 1, 1, 1], 0.37).norm == 2.0
+        assert CouplingConfig([1, 1, 1, 1], 0.37).norm == 2.0
 
     def test_empty_couplings(self):
         with pytest.raises(EmptyCouplingsError):
-            build_coupling([], 1.0)
+            CouplingConfig([], 1.0)
 
     def test_all_zero(self):
         with pytest.raises(ZeroNormError):
-            build_coupling([0.0, 0.0], 1.0)
+            CouplingConfig([0.0, 0.0], 1.0)
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteInputError):
-            build_coupling([1.0, math.nan], 1.0)
+            CouplingConfig([1.0, math.nan], 1.0)
         with pytest.raises(NonFiniteInputError):
-            build_coupling([1.0], math.inf)
+            CouplingConfig([1.0], math.inf)
 
     def test_complex_coupling_rejected(self):
         with pytest.raises(InfoCloneError):
-            build_coupling([1.0 + 2.0j], 1.0)
+            CouplingConfig([1.0 + 2.0j], 1.0)
 
 
 class TestBuildTransform:
     def test_zero_angle_is_identity(self):
-        u = build_transform(build_coupling([1.0], 0.0))
+        u = build_transform(CouplingConfig([1.0], 0.0))
         np.testing.assert_array_equal(u, np.eye(2))
 
     def test_quarter_turn(self):
-        u = build_transform(build_coupling([1.0], math.pi / 2))
+        u = build_transform(CouplingConfig([1.0], math.pi / 2))
         np.testing.assert_allclose(u, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
     def test_half_turn_two_ancillas(self):
         # angle R*t = pi with R = sqrt(2); checked against the exponential oracle
-        u = build_transform(build_coupling([1.0, 1.0], math.pi / math.sqrt(2.0)))
+        u = build_transform(CouplingConfig([1.0, 1.0], math.pi / math.sqrt(2.0)))
         expected = np.array([[-1, 0, 0], [0, 0, -1], [0, -1, 0]], dtype=float)
         np.testing.assert_allclose(u, expected, atol=1e-10)
         np.testing.assert_allclose(
@@ -117,9 +117,9 @@ class TestBuildTransform:
                 continue
             t1 = float(rng.uniform(-10.0, 10.0))
             t2 = float(rng.uniform(-10.0, 10.0))
-            u1 = build_transform(build_coupling(r, t1))
-            u2 = build_transform(build_coupling(r, t2))
-            u12 = build_transform(build_coupling(r, t1 + t2))
+            u1 = build_transform(CouplingConfig(r, t1))
+            u2 = build_transform(CouplingConfig(r, t2))
+            u12 = build_transform(CouplingConfig(r, t1 + t2))
             np.testing.assert_allclose(u1 @ u2, u12, atol=1e-10)
 
 
@@ -129,20 +129,18 @@ class TestApplyTransform:
         np.testing.assert_array_equal(apply_transform(np.eye(2), v), v)
 
     def test_quarter_turn_moves_alpha_to_ancilla(self):
-        u = build_transform(build_coupling([1.0], math.pi / 2))
+        u = build_transform(CouplingConfig([1.0], math.pi / 2))
         out = apply_transform(u, [0.6, 0.0])
         np.testing.assert_allclose(out, [0.0, -0.6], atol=1e-12)
 
     def test_symmetric_four_copies_full_swap(self):
         # equal couplings, angle -pi/2 so sin(R*t) = -1
-        cfg = build_coupling([1.0, 1.0, 1.0, 1.0], -math.pi / 4)
+        cfg = CouplingConfig([1.0, 1.0, 1.0, 1.0], -math.pi / 4)
         u = build_transform(cfg)
         alpha, beta = 0.8 - 0.3j, 0.25 + 0.1j
         out = apply_transform(u, [alpha, beta, beta, beta, beta])
         np.testing.assert_allclose(out[0], -2.0 * beta, atol=1e-12)
         np.testing.assert_allclose(out[1:], np.full(4, alpha / 2.0), atol=1e-12)
-        _, clone = symmetric_clone_params(alpha, beta, 4, math.sin(cfg.angle))
-        np.testing.assert_allclose(out[1:], np.full(4, clone), atol=1e-12)
 
     def test_norm_conservation_random(self):
         rng = np.random.default_rng(13)
@@ -156,65 +154,75 @@ class TestApplyTransform:
             assert abs(after - before) <= 1e-12 * before
 
     def test_dimension_mismatch(self):
-        u = build_transform(build_coupling([1.0], 0.3))
+        u = build_transform(CouplingConfig([1.0], 0.3))
         with pytest.raises(DimensionMismatchError):
             apply_transform(u, [1.0, 2.0, 3.0])
 
     def test_non_finite_vector(self):
-        u = build_transform(build_coupling([1.0], 0.3))
+        u = build_transform(CouplingConfig([1.0], 0.3))
         with pytest.raises(NonFiniteInputError):
             apply_transform(u, [complex(math.nan, 0.0), 0.0])
 
 
+def strategy_outputs(strategy, alpha, coupling=1.0):
+    """Matrix action on (alpha, beta, ..., beta) for N equal couplings.
+
+    The angle is asin(sin_rt), the cos >= 0 branch that realizes the strategy.
+    """
+    n = strategy.n_copies
+    angle = math.asin(strategy.sin_rt)
+    cfg = CouplingConfig([coupling] * n, angle / (coupling * math.sqrt(n)))
+    return apply_transform(build_transform(cfg), [alpha] + [strategy.beta] * n)
+
+
 class TestSymmetricCloneParams:
+    """The equal-coupling clone map that StrategySpec holds, against the matrix."""
+
     def test_full_swap_attenuates_by_root_n(self):
-        alpha_out, clone = symmetric_clone_params(2j, 0j, 4, -1.0)
-        assert clone == 1j
-        assert alpha_out == 0j
+        out = strategy_outputs(make_strategy("optimal", 4), 2j)
+        np.testing.assert_allclose(out, [0j, 1j, 1j, 1j, 1j], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
         alpha, beta = 1.3 - 0.7j, -2.0 + 0.4j
-        alpha_out, clone = symmetric_clone_params(alpha, beta, 3, 0.0)
-        assert clone == beta
-        assert alpha_out == alpha
+        out = apply_transform(build_transform(CouplingConfig([1.0] * 3, 0.0)), [alpha] + [beta] * 3)
+        assert out[0] == alpha
+        assert np.all(out[1:] == beta)
 
     def test_near_full_swap_exact_offset_coefficient(self):
         eps = 0.02
-        _, clone = symmetric_clone_params(1.0, 10.0, 100, -1.0 + eps)
+        strategy = make_strategy("near-optimal", 100, epsilon=eps, beta=10.0)
         expected = (1.0 - eps) / 10.0 + math.sqrt(2.0 * eps - eps * eps) * 10.0
-        assert clone.real == pytest.approx(expected, rel=1e-12)
-        assert clone.imag == 0.0
+        assert strategy.signal_scale + strategy.offset_scale * 10.0 == pytest.approx(
+            expected, rel=1e-12
+        )
+        np.testing.assert_allclose(strategy_outputs(strategy, 1.0)[1:], expected, rtol=1e-12)
 
     def test_clone_matches_matrix_action_random(self):
-        # equal positive couplings and angle in the positive-cosine branch
         rng = np.random.default_rng(14)
         for _ in range(100):
-            n = int(rng.integers(1, 7))
-            r = float(rng.uniform(0.2, 2.0))
-            angle = float(rng.uniform(-1.5, 1.5))
-            cfg = build_coupling([r] * n, angle / (r * math.sqrt(n)))
+            n = int(rng.integers(2, 7))
             alpha = complex(rng.normal(), rng.normal())
             beta = complex(rng.normal(), rng.normal())
-            out = apply_transform(build_transform(cfg), [alpha] + [beta] * n)
-            alpha_out, clone = symmetric_clone_params(alpha, beta, n, math.sin(cfg.angle))
-            assert np.all(np.abs(out[1:] - out[1]) <= 1e-12)
-            np.testing.assert_allclose(out[1:], np.full(n, clone), atol=1e-12)
-            np.testing.assert_allclose(out[0], alpha_out, atol=1e-12)
+            eps = float(rng.uniform(0.01, 0.99))
+            coupling = float(rng.uniform(0.2, 2.0))
+            for strategy in (
+                make_strategy("optimal", n),
+                make_strategy("offset", n, beta=beta),
+                make_strategy("near-optimal", n, epsilon=eps, beta=beta),
+            ):
+                out = strategy_outputs(strategy, alpha, coupling)
+                clone = strategy.signal_scale * alpha + strategy.offset_scale * strategy.beta
+                assert np.all(np.abs(out[1:] - clone) <= 1e-12)
 
     def test_full_swap_clone_independent_of_beta(self):
         alpha = 0.9 + 0.1j
-        for n in (1, 2, 5, 100):
-            _, clone_a = symmetric_clone_params(alpha, 0j, n, -1.0)
-            _, clone_b = symmetric_clone_params(alpha, 47.0 - 3.0j, n, -1.0)
-            assert clone_a == clone_b == alpha / math.sqrt(n)
-
-    def test_invalid_sine(self):
-        with pytest.raises(InvalidSineError):
-            symmetric_clone_params(1.0, 0.0, 2, 1.5)
-
-    def test_bad_copy_count(self):
-        with pytest.raises(InfoCloneError):
-            symmetric_clone_params(1.0, 0.0, 0, 0.5)
+        for n in (2, 5, 100):
+            strategy = make_strategy("optimal", n)
+            assert strategy.signal_scale * alpha == pytest.approx(alpha / math.sqrt(n), rel=1e-15)
+            u = build_transform(CouplingConfig([1.0] * n, -math.pi / (2.0 * math.sqrt(n))))
+            for beta in (0j, 47.0 - 3.0j):
+                out = apply_transform(u, [alpha] + [beta] * n)
+                np.testing.assert_allclose(out[1:], alpha / math.sqrt(n), rtol=0, atol=1e-12)
 
 
 class TestMakeStrategy:
