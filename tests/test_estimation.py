@@ -6,6 +6,7 @@ import pytest
 from infoclone import InfoCloneError, make_strategy, run_trials
 from infoclone.estimation import clone_amplitude, estimate_alpha, theoretical_std
 from infoclone.measurement import MeasurementRecord, measure_clones
+from infoclone.transform import CouplingConfig, apply_transform, build_transform
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +40,25 @@ class TestCloneLinearMap:
         gamma = clone_amplitude(make_strategy("near-optimal", 100, epsilon=0.1, beta=3.0), 1.0j)
         assert gamma.real == pytest.approx(3.0 * math.sqrt(0.19), rel=1e-12)
         assert gamma.imag == pytest.approx(0.09, rel=1e-15)
+
+    def test_matches_symmetric_clone_formula(self):
+        rng = np.random.default_rng(3)
+        strategies = [
+            make_strategy("optimal", 25),
+            make_strategy("offset", 8, beta=2.0 - 1.5j),
+            make_strategy("near-optimal", 50, epsilon=0.3, beta=-4.0 + 0.5j),
+        ]
+        for strategy in strategies:
+            n, sin_rt = strategy.n_copies, strategy.sin_rt
+            cos_rt = math.sqrt(1.0 - sin_rt * sin_rt)
+            u = build_transform(CouplingConfig([1.0] * n, math.asin(sin_rt) / math.sqrt(n)))
+            for _ in range(20):
+                alpha = complex(rng.normal(), rng.normal())
+                formula = -(alpha / math.sqrt(n)) * sin_rt + strategy.beta * cos_rt
+                gamma = clone_amplitude(strategy, alpha)
+                assert abs(gamma - formula) <= 1e-12
+                out = apply_transform(u, [alpha] + [strategy.beta] * n)
+                assert np.all(np.abs(out[1:] - gamma) <= 1e-12)
 
 
 class TestEstimateAlpha:
