@@ -3,13 +3,14 @@
 Four subcommands: ``transform`` reports the amplitude rotation matrix,
 ``oracle`` runs the truncated number-basis check, ``estimate`` runs one
 Monte Carlo estimation campaign, and ``sweep`` runs one campaign per grid
-point. Settings come from defaults, then an optional JSON config file, then
-flags, in increasing precedence. Reports are JSON (default) or CSV with all
-floats printed to 17 significant digits, so identical settings and seed
-reproduce identical output bytes.
+point. The argument parser is the one description of the settings: their
+names, types, defaults and choices. A JSON config file is read as the flags
+its keys stand for, placed before the command-line flags, so flags win.
+Reports are JSON (default) or CSV with all floats printed to 17 significant
+digits, so identical settings and seed reproduce identical output bytes.
 
 Exit codes: 0 success, 1 oracle fidelity below threshold, 2 usage or
-validation error, or a request too large for memory.
+validation error, or a request too large for memory or for a double.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .transform import (
 __all__ = ["DEFAULT_SEED", "FIDELITY_THRESHOLD", "CSV_COLUMNS", "main", "console_main"]
 
 DEFAULT_SEED = 12345
-DEFAULT_TRIALS = 100_000
-DEFAULT_CUTOFF = 25
 FIDELITY_THRESHOLD = 0.999
 
 CSV_COLUMNS = (
@@ -62,31 +61,9 @@ CSV_COLUMNS = (
     "theory_std_im",
 )
 
-_COMMON_DEFAULTS = {"seed": DEFAULT_SEED, "out": None, "format": "json"}
-
-_DEFAULTS = {
-    "transform": {"couplings": None, "time": None, "alpha": 1 + 0j, "beta": 0j},
-    "oracle": {
-        "couplings": None,
-        "time": None,
-        "alpha": 1 + 0j,
-        "beta": 0j,
-        "cutoff": DEFAULT_CUTOFF,
-    },
-    "estimate": {
-        "strategy": "optimal",
-        "n_copies": 100,
-        "epsilon": None,
-        "beta": None,
-        "alpha": 1 + 0j,
-        "trials": DEFAULT_TRIALS,
-    },
-}
-_DEFAULTS["sweep"] = {**_DEFAULTS["estimate"], "grid": None}
-
 
 # ---------------------------------------------------------------------------
-# flag and config-file value parsing
+# flag values and config files
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -100,131 +77,89 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _reject_bool(value, key: str):
-    if isinstance(value, bool):
-        raise InfoCloneError(f"config key {key!r} must be a number, got {value!r}")
+def _snake_case(text: str) -> str:
+    return text.replace("-", "_")
 
 
-def _coerce_float(value, key: str) -> float:
-    _reject_bool(value, key)
-    if not isinstance(value, (int, float)):
-        raise InfoCloneError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+# Options that no config key stands for; the "grid" object stands for the
+# two grid flags.
+_NOT_IN_CONFIG = {"help", "config", "randomize", "grid_axis", "grid_values"}
 
 
-def _coerce_int(value, key: str) -> int:
-    _reject_bool(value, key)
-    if not isinstance(value, int):
-        raise InfoCloneError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+def _flag_text(action: argparse.Action, value) -> str:
+    """The flag text a config value stands for: 8 -> "8", [1.5, -0.5] -> "1.5,-0.5".
+
+    The JSON type is checked here (a JSON number is exactly an int or a float,
+    never a bool); the flag's own type then parses the text.
+    """
+    if action.type in (int, float):
+        if type(value) in (int, float):
+            return repr(value)
+        wanted = "a number"
+    elif action.type in (_parse_complex_pair, _parse_float_list):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            return ",".join(map(repr, value))
+        wanted = "a string or a list of numbers"
+    else:
+        if isinstance(value, str):
+            return value
+        wanted = "a string"
+    raise InfoCloneError(f"config key {action.dest!r} must be {wanted}, got {value!r}")
 
 
-def _coerce_str(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise InfoCloneError(f"config key {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _coerce_format(value, key: str) -> str:
-    value = _coerce_str(value, key)
-    if value not in ("json", "csv"):
-        raise InfoCloneError(f"config key {key!r} must be 'json' or 'csv', got {value!r}")
-    return value
-
-
-def _coerce_complex(value, key: str) -> complex:
-    if isinstance(value, str):
-        return _parse_complex_pair(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_coerce_float(value[0], key), _coerce_float(value[1], key))
-    raise InfoCloneError(f"config key {key!r} must be [re, im] or 'RE,IM', got {value!r}")
-
-
-def _coerce_float_list(value, key: str) -> list[float]:
-    if isinstance(value, str):
-        return _parse_float_list(value)
-    if isinstance(value, (list, tuple)):
-        return [_coerce_float(v, key) for v in value]
-    raise InfoCloneError(f"config key {key!r} must be a list of numbers, got {value!r}")
-
-
-def _coerce_grid(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise InfoCloneError(f"config key {key!r} must be an object with axis and values")
-    unknown = set(value) - {"axis", "values"}
-    if unknown:
-        raise InfoCloneError(f"unknown grid keys: {sorted(unknown)}")
-    grid = {}
-    if "axis" in value:
-        grid["axis"] = _coerce_str(value["axis"], "grid.axis")
-    if "values" in value:
-        grid["values"] = _coerce_float_list(value["values"], "grid.values")
-    return grid
-
-
-_COERCERS = {
-    "couplings": _coerce_float_list,
-    "time": _coerce_float,
-    "alpha": _coerce_complex,
-    "beta": _coerce_complex,
-    "cutoff": _coerce_int,
-    "strategy": _coerce_str,
-    "n_copies": _coerce_int,
-    "epsilon": _coerce_float,
-    "trials": _coerce_int,
-    "seed": _coerce_int,
-    "out": _coerce_str,
-    "format": _coerce_format,
-    "grid": _coerce_grid,
-}
-
-
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
+def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The ``--flag=value`` tokens that the config file of ``args`` stands for."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        settings = json.load(fh)
+    if not isinstance(settings, dict):
         raise InfoCloneError("config file must contain a JSON object")
-    return raw
+    command = settings.pop("command", args.command)
+    if command != args.command:
+        raise InfoCloneError(f"config file is for command {command!r}, not {args.command!r}")
+    # argparse has no public way to list the options of a subcommand
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in commands.choices[args.command]._actions}
+    pairs = []
+    for key, value in settings.items():
+        if key == "grid" and "grid_axis" in options:
+            if not isinstance(value, dict) or not value.keys() <= {"axis", "values"}:
+                raise InfoCloneError('config key "grid" must be an object with keys axis and values')
+            pairs += [(options[f"grid_{name}"], v) for name, v in value.items()]
+        elif key in options and key not in _NOT_IN_CONFIG:
+            pairs.append((options[key], value))
+        else:
+            raise InfoCloneError(f"unknown config key {key!r} for command {args.command!r}")
+    tokens = []
+    for action, value in pairs:
+        token = f"{action.option_strings[0]}={_flag_text(action, value)}"
+        # --randomize replaces the file's seed; argparse refuses the two flags together
+        if not (action.dest == "seed" and args.randomize):
+            tokens.append(token)
+    return tokens
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and flags (flags win) into one dict."""
-    command = args.command
-    cfg: dict = dict(_COMMON_DEFAULTS)
-    cfg.update(_DEFAULTS[command])
-    cfg["command"] = command
+def _parse(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace:
+    # argparse drops the value of --flag=-- and stores an empty list, which no
+    # type or choice check sees
+    if any(token.startswith("--") and token.partition("=")[2] == "--" for token in tokens):
+        parser.error("'--' is not a flag value")
+    return parser.parse_args(tokens)
 
+
+def resolve_config(argv: list[str] | None = None) -> dict:
+    """Parse argv; a config file is read as the flags it stands for, and flags win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = _parse(parser, argv)
     if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key == "command":
-                if value != command:
-                    raise InfoCloneError(
-                        f"config file is for command {value!r}, not {command!r}"
-                    )
-                continue
-            if key not in cfg:
-                raise InfoCloneError(f"unknown config key {key!r} for command {command!r}")
-            cfg[key] = _COERCERS[key](value, key)
-
-    for key in _COERCERS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-
-    if getattr(args, "grid_axis", None) is not None or getattr(args, "grid_values", None) is not None:
-        grid = dict(cfg.get("grid") or {})
-        if args.grid_axis is not None:
-            grid["axis"] = args.grid_axis
-        if args.grid_values is not None:
-            grid["values"] = args.grid_values
-        cfg["grid"] = grid
-
+        # argparse keeps the last value it sees, so the flags after the file win
+        args = _parse(parser, [args.command, *_config_tokens(parser, args), *argv[1:]])
     if args.randomize:
-        if args.seed is not None:
-            raise InfoCloneError("--randomize conflicts with an explicit --seed")
-        cfg["seed"] = secrets.randbits(64)
-    cfg["seed"] = require_seed(cfg["seed"])
-    return cfg
+        args.seed = secrets.randbits(64)
+    args.seed = require_seed(args.seed)
+    return vars(args)
 
 
 # ---------------------------------------------------------------------------
@@ -256,50 +191,33 @@ def _json_scalar(value) -> str:
     raise TypeError(f"unsupported report value {value!r}")
 
 
-def _json_value(value, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
+def _json_value(value, indent: int | None = None) -> str:
+    """JSON text of a report value, on one line when indent is None.
+
+    Otherwise each item of a dict, or of a list holding containers, goes on
+    its own line, indented two spaces past ``indent``.
+    """
+    inner = None if indent is None else indent + 2
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_json_value(v, indent + 2)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        items = [f"{json.dumps(str(k))}: {_json_value(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_value(v, inner) for v in value]
+        brackets = "[]"
         if all(_is_scalar(v) for v in value):
-            return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
-        items = [f"{inner}{_json_value(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(value)
-
-
-def render_json(report: dict) -> str:
-    return _json_value(report, 0) + "\n"
-
-
-def _compact_json(value) -> str:
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_compact_json(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_compact_json(v) for v in value) + "]"
-    return _json_scalar(value)
+            indent = None
+    else:
+        return _json_scalar(value)
+    if indent is None or not items:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    body = ",\n".join(" " * inner + item for item in items)
+    return f"{brackets[0]}\n{body}\n{' ' * indent}{brackets[1]}"
 
 
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, (dict, list, tuple)):
-        return _compact_json(value)
-    return str(value)
+    return value if isinstance(value, str) else _json_value(value)
 
 
 def render_csv(report: dict) -> str:
@@ -317,7 +235,7 @@ def render_csv(report: dict) -> str:
 
 
 def render_report(report: dict, fmt: str) -> str:
-    return render_json(report) if fmt == "json" else render_csv(report)
+    return _json_value(report, 0) + "\n" if fmt == "json" else render_csv(report)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -420,22 +338,17 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
     return (0 if passed else 1), report
 
 
-def _build_strategy(cfg: dict):
-    return make_strategy(cfg["strategy"], cfg["n_copies"], cfg["epsilon"], cfg["beta"])
-
-
 def cmd_estimate(cfg: dict) -> tuple[int, dict]:
-    strategy = _build_strategy(cfg)
+    strategy = make_strategy(cfg["strategy"], cfg["n_copies"], cfg["epsilon"], cfg["beta"])
     summary = run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"])
     return 0, {"command": "estimate", "rows": [_summary_row(summary)]}
 
 
 def _grid_strategy(axis: str, value: float, cfg: dict):
     if axis == "n_copies":
-        n = int(value)
-        if n != value:
+        if not float(value).is_integer():
             raise InfoCloneError(f"n_copies grid values must be integers, got {value!r}")
-        return make_strategy(cfg["strategy"], n, cfg["epsilon"], cfg["beta"])
+        return make_strategy(cfg["strategy"], int(value), cfg["epsilon"], cfg["beta"])
     if axis == "epsilon":
         if cfg["strategy"] != StrategyKind.NEAR_OPTIMAL.value:
             raise InfoCloneError("an epsilon grid requires --strategy near-optimal")
@@ -454,14 +367,9 @@ def _grid_strategy(axis: str, value: float, cfg: dict):
 
 
 def cmd_sweep(cfg: dict) -> tuple[int, dict]:
-    grid = cfg.get("grid") or {}
-    axis = grid.get("axis")
+    axis, values = cfg["grid_axis"], cfg["grid_values"]
     if axis is None:
         raise InfoCloneError("sweep requires a grid axis (--grid-axis or config grid.axis)")
-    axis = axis.replace("-", "_")
-    if axis not in ("n_copies", "epsilon", "sin_rt"):
-        raise InfoCloneError(f"grid axis must be n_copies, epsilon, or sin_rt, got {axis!r}")
-    values = grid.get("values")
     if not values:
         raise InfoCloneError("sweep requires a non-empty list of grid values")
     rows = []
@@ -472,41 +380,56 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
     return 0, {"command": "sweep", "axis": axis, "rows": rows}
 
 
-_COMMANDS = {
-    "transform": cmd_transform,
-    "oracle": cmd_oracle,
-    "estimate": cmd_estimate,
-    "sweep": cmd_sweep,
-}
-
-
 # ---------------------------------------------------------------------------
 # parser and entry points
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file; flags override its fields")
-    common.add_argument("--seed", type=int, metavar="U64", help=f"stream seed (default {DEFAULT_SEED})")
-    common.add_argument(
+    common.add_argument("--config", metavar="PATH", help="JSON config file of flag values; flags override it")
+    seeding = common.add_mutually_exclusive_group()
+    seeding.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, metavar="U64", help="stream seed (default %(default)s)"
+    )
+    seeding.add_argument(
         "--randomize", action="store_true", help="draw the seed from OS entropy instead of the default"
     )
-    common.add_argument("--out", metavar="PATH", help="write the report to this file instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
+    common.add_argument("--out", metavar="PATH", help="write the report to this file (default stdout)")
+    common.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format (default %(default)s)"
+    )
 
     amplitudes = argparse.ArgumentParser(add_help=False)
-    amplitudes.add_argument("--alpha", type=_parse_complex_pair, metavar="RE,IM", help="held amplitude")
-    amplitudes.add_argument("--beta", type=_parse_complex_pair, metavar="RE,IM", help="reference amplitude")
+    amplitudes.add_argument(
+        "--alpha", type=_parse_complex_pair, default="1,0", metavar="RE,IM",
+        help="held amplitude (default %(default)s)",
+    )
 
+    # beta defaults to 0 for transform and oracle and has no default for
+    # estimate and sweep; parents share their actions, so each gets its own.
     couplings = argparse.ArgumentParser(add_help=False)
     couplings.add_argument("--couplings", type=_parse_float_list, metavar="R1,R2,...", help="coupling strengths")
     couplings.add_argument("--time", type=float, metavar="T", help="interaction time")
+    couplings.add_argument(
+        "--beta", type=_parse_complex_pair, default="0,0", metavar="RE,IM",
+        help="ancilla amplitude (default %(default)s)",
+    )
 
     strategy = argparse.ArgumentParser(add_help=False)
-    strategy.add_argument("--strategy", choices=[k.value for k in StrategyKind], help="cloning strategy")
-    strategy.add_argument("--n-copies", type=int, metavar="N", help="number of clones")
+    strategy.add_argument(
+        "--strategy", choices=[k.value for k in StrategyKind], default="optimal",
+        help="cloning strategy (default %(default)s)",
+    )
+    strategy.add_argument(
+        "--n-copies", type=int, default=100, metavar="N", help="number of clones (default %(default)s)"
+    )
     strategy.add_argument("--epsilon", type=float, metavar="EPS", help="near-optimal detuning in (0, 1)")
-    strategy.add_argument("--trials", type=int, metavar="M", help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
+    strategy.add_argument(
+        "--beta", type=_parse_complex_pair, metavar="RE,IM", help="reference amplitude for offset and near-optimal"
+    )
+    strategy.add_argument(
+        "--trials", type=int, default=100_000, metavar="M", help="Monte Carlo trials (default %(default)s)"
+    )
 
     parser = argparse.ArgumentParser(
         prog="infoclone",
@@ -517,42 +440,43 @@ def build_parser() -> argparse.ArgumentParser:
         "transform",
         parents=[common, couplings, amplitudes],
         help="report the amplitude rotation matrix and its action on (alpha, beta, ..., beta)",
-    )
+    ).set_defaults(run=cmd_transform)
     oracle = sub.add_parser(
         "oracle",
         parents=[common, couplings, amplitudes],
         help="verify the transform against the truncated number-basis evolution",
     )
-    oracle.add_argument("--cutoff", type=int, metavar="NMAX", help=f"per-mode cutoff (default {DEFAULT_CUTOFF})")
+    oracle.set_defaults(run=cmd_oracle)
+    oracle.add_argument(
+        "--cutoff", type=int, default=25, metavar="NMAX", help="per-mode cutoff (default %(default)s)"
+    )
     sub.add_parser(
         "estimate",
         parents=[common, strategy, amplitudes],
         help="run one Monte Carlo estimation campaign",
-    )
+    ).set_defaults(run=cmd_estimate)
     sweep = sub.add_parser(
         "sweep",
         parents=[common, strategy, amplitudes],
         help="run one campaign per grid point",
     )
+    sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument(
-        "--grid-axis", choices=("n-copies", "n_copies", "epsilon", "sin-rt", "sin_rt"), help="swept parameter"
+        "--grid-axis", type=_snake_case, choices=("n_copies", "epsilon", "sin_rt"), help="swept parameter (- or _)"
     )
     sweep.add_argument("--grid-values", type=_parse_float_list, metavar="V1,V2,...", help="grid points")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        cfg = resolve_config(args)
-        code, report = _COMMANDS[cfg["command"]](cfg)
+        cfg = resolve_config(argv)
+        code, report = cfg["run"](cfg)
         _write_output(render_report(report, cfg["format"]), cfg["out"])
         return code
-    except (ValueError, MemoryError) as exc:
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return exc.code if isinstance(exc.code, int) else 2
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -60,7 +60,7 @@ class CouplingConfig:
         couplings = tuple(require_finite_real(r, "coupling") for r in self.couplings)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "time", require_finite_real(self.time, "time"))
-        norm = math.sqrt(math.fsum(r * r for r in couplings))
+        norm = math.hypot(*couplings)
         if norm == 0.0:
             raise ZeroNormError("all couplings are zero")
         object.__setattr__(self, "norm", norm)

@@ -80,6 +80,19 @@ class TestTransformCommand:
         assert (report["alpha_re"], report["alpha_im"]) == (0.3, -1.2)
         assert (report["beta_re"], report["beta_im"]) == (0.5, 0.25)
 
+    # sum(r^2) underflows to 0 or overflows to inf, though R*t = sqrt(2) is fine
+    @pytest.mark.parametrize(
+        "couplings, time",
+        [("1e-200,1e-200", "1e200"), ("1e200,1e200", "1e-200")],
+        ids=["tiny-couplings", "huge-couplings"],
+    )
+    def test_extreme_coupling_scales(self, run_cli, couplings, time):
+        code, out = run_cli("transform", "--couplings", couplings, "--time", time)
+        assert code == 0
+        report = validate(out)
+        assert report["angle"] == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert report["orthogonality_residual"] <= 1e-12
+
 
 class TestOracleCommand:
     def test_quarter_turn_passes(self, run_cli):
@@ -159,6 +172,12 @@ class TestEstimateCommand:
         assert code == 2
         assert "MemoryError" in capsys.readouterr().err
 
+    def test_overflow_error_exit_code(self, run_cli, capsys):
+        # sqrt of a 401-digit clone count does not fit in a double
+        code, _ = run_cli("estimate", "--n-copies", "1" + "0" * 400, "--trials", "2")
+        assert code == 2
+        assert "OverflowError" in capsys.readouterr().err
+
     def test_zero_trials(self, run_cli):
         code, _ = run_cli("estimate", "--trials", "0")
         assert code == 2
@@ -233,6 +252,66 @@ class TestConfigFile:
         assert code == 0
         assert validate(out)["matrix"] == [[1, 0], [0, 1]]
 
+    # The settings around each bad value are valid, so only that value can fail
+    # the run; the flags after the file keep the campaigns small.
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("estimate", {"trials": True}),
+            ("estimate", {"trials": "100"}),
+            ("estimate", {"n_copies": 3.5}),
+            ("estimate", {"n_copies": 4.0}),
+            ("estimate", {"format": "yaml"}),
+            ("estimate", {"alpha": [1]}),
+            ("estimate", {"strategy": "nope"}),
+            ("estimate", {"seed": [1]}),
+            ("estimate", {"seed": -1}),
+            ("estimate", {"out": 5}),
+            ("estimate", {"epsilon": None}),
+            ("estimate", {"randomize": True}),
+            ("estimate", {"config": "x.json"}),
+            ("transform", {"couplings": [1.0], "time": "1"}),
+            ("transform", {"couplings": 1, "time": 0.3}),
+            ("sweep", {"grid": {"axis": "n-copies", "values": [4], "bogus": 1}}),
+            ("sweep", {"grid": {"axis": "bogus", "values": [1]}}),
+        ],
+    )
+    def test_rejected_values(self, run_cli, tmp_path, command, settings):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        small = ("--trials", "50") if command in ("estimate", "sweep") else ()
+        code, _ = run_cli(command, "--config", str(config), *small)
+        assert code == 2
+
+    def test_text_values(self, run_cli, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "1.5,-0.5"}))
+        code, out = run_cli("estimate", "--config", str(config), "--trials", "50")
+        assert code == 0
+        row = validate(out)["rows"][0]
+        assert (row["alpha_re"], row["alpha_im"]) == (1.5, -0.5)
+        config.write_text(json.dumps({"couplings": "1,2", "time": 0.3}))
+        code, out = run_cli("transform", "--config", str(config))
+        assert code == 0
+        report = validate(out)
+        assert (report["couplings"], report["time"]) == ([1, 2], 0.3)
+
+    def test_grid_object_matches_flags(self, run_cli, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"axis": "n-copies", "values": [10, 40]}}))
+        args = ("--trials", "300", "--seed", "5")
+        code, from_file = run_cli("sweep", "--config", str(config), *args)
+        assert code == 0
+        _, from_flags = run_cli("sweep", "--grid-axis", "n-copies", "--grid-values", "10,40", *args)
+        assert from_file == from_flags
+
+    def test_randomize_overrides_file_seed(self, run_cli, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 9, "trials": 50}))
+        code, out = run_cli("estimate", "--config", str(config), "--randomize")
+        assert code == 0
+        assert validate(out)["rows"][0]["seed"] != 9
+
 
 class TestSweepCommand:
     def test_copies_grid(self, run_cli):
@@ -278,6 +357,10 @@ class TestSweepCommand:
         code, _ = run_cli(
             "sweep", "--grid-axis", "sin-rt", "--grid-values", "0.3", "--trials", "100"
         )
+        assert code == 2
+
+    def test_infinite_copies_grid(self, run_cli):
+        code, _ = run_cli("sweep", "--grid-axis", "n-copies", "--grid-values", "inf")
         assert code == 2
 
     def test_empty_grid(self, run_cli):
@@ -339,3 +422,6 @@ def test_module_entry_point(tmp_path):
 def test_usage_error_exit_code():
     assert main([]) == 2
     assert main(["estimate", "--format", "yaml"]) == 2
+    # argparse would store --flag=-- as an empty list
+    assert main(["estimate", "--format=--"]) == 2
+    assert main(["transform", "--couplings", "1", "--time=--"]) == 2
