@@ -17,7 +17,6 @@ from .transform import (
     StrategySpec,
     apply_transform,
     build_transform,
-    make_strategy,
     orthogonality_residual,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "build_transform",
     "evolve",
     "fidelity",
-    "make_strategy",
     "orthogonality_residual",
     "product_state",
     "run_trials",

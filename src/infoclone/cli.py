@@ -29,37 +29,16 @@ from .fock import evolve, fidelity, product_state
 from .transform import (
     CouplingConfig,
     StrategyKind,
+    StrategySpec,
     apply_transform,
     build_transform,
-    make_strategy,
     orthogonality_residual,
 )
 
-__all__ = ["DEFAULT_SEED", "FIDELITY_THRESHOLD", "CSV_COLUMNS", "main", "console_main"]
+__all__ = ["DEFAULT_SEED", "FIDELITY_THRESHOLD", "main", "console_main"]
 
 DEFAULT_SEED = 12345
 FIDELITY_THRESHOLD = 0.999
-
-CSV_COLUMNS = (
-    "strategy",
-    "n_copies",
-    "epsilon",
-    "beta_re",
-    "beta_im",
-    "sin_rt",
-    "signal_scale",
-    "offset_scale",
-    "alpha_re",
-    "alpha_im",
-    "trials",
-    "seed",
-    "mean_re",
-    "mean_im",
-    "std_re",
-    "std_im",
-    "theory_std_re",
-    "theory_std_im",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +46,18 @@ CSV_COLUMNS = (
 
 
 def _parse_complex_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected RE,IM, got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        real, imag = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers RE,IM, got {text!r}") from None
+    return complex(real, imag)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _snake_case(text: str) -> str:
@@ -224,9 +207,10 @@ def render_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     if report["command"] in ("estimate", "sweep"):
-        writer.writerow(CSV_COLUMNS)
+        # every row has the same keys; the first row's give the header
+        writer.writerow(report["rows"][0].keys())
         for row in report["rows"]:
-            writer.writerow([_csv_cell(row[column]) for column in CSV_COLUMNS])
+            writer.writerow([_csv_cell(value) for value in row.values()])
     else:
         writer.writerow(["field", "value"])
         for key, value in report.items():
@@ -339,7 +323,7 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
 
 
 def cmd_estimate(cfg: dict) -> tuple[int, dict]:
-    strategy = make_strategy(cfg["strategy"], cfg["n_copies"], cfg["epsilon"], cfg["beta"])
+    strategy = StrategySpec(cfg["strategy"], cfg["n_copies"], cfg["epsilon"], cfg["beta"])
     summary = run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"])
     return 0, {"command": "estimate", "rows": [_summary_row(summary)]}
 
@@ -348,18 +332,18 @@ def _grid_strategy(axis: str, value: float, cfg: dict):
     if axis == "n_copies":
         if not float(value).is_integer():
             raise InfoCloneError(f"n_copies grid values must be integers, got {value!r}")
-        return make_strategy(cfg["strategy"], int(value), cfg["epsilon"], cfg["beta"])
+        return StrategySpec(cfg["strategy"], int(value), cfg["epsilon"], cfg["beta"])
     if axis == "epsilon":
         if cfg["strategy"] != StrategyKind.NEAR_OPTIMAL.value:
             raise InfoCloneError("an epsilon grid requires --strategy near-optimal")
-        return make_strategy(cfg["strategy"], cfg["n_copies"], value, cfg["beta"])
+        return StrategySpec(cfg["strategy"], cfg["n_copies"], value, cfg["beta"])
     # sin_rt axis: map each point onto the strategy that realizes it
     if value == -1.0:
-        return make_strategy(StrategyKind.OPTIMAL, cfg["n_copies"])
+        return StrategySpec(StrategyKind.OPTIMAL, cfg["n_copies"])
     if -1.0 < value < 0.0:
-        return make_strategy(StrategyKind.NEAR_OPTIMAL, cfg["n_copies"], 1.0 + value, cfg["beta"])
+        return StrategySpec(StrategyKind.NEAR_OPTIMAL, cfg["n_copies"], 1.0 + value, cfg["beta"])
     if abs(value - math.sqrt(0.5)) <= 1e-12:
-        return make_strategy(StrategyKind.OFFSET, cfg["n_copies"], beta=cfg["beta"])
+        return StrategySpec(StrategyKind.OFFSET, cfg["n_copies"], beta=cfg["beta"])
     raise InfoCloneError(
         f"sin_rt = {value!r} is not realized by any strategy; "
         "use a value in [-1, 0) or 1/sqrt(2)"
@@ -476,11 +460,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,13 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import (
-    AmplitudeTooLargeForCutoffError,
-    DimensionMismatchError,
-    InfoCloneError,
-    StateTooLargeError,
-    require_finite_complex,
-)
+from .errors import InfoCloneError, require_finite_complex
 from .transform import CouplingConfig
 
 __all__ = [
@@ -59,12 +53,12 @@ class FockState:
             raise InfoCloneError(f"cutoff must be >= 1, got {self.cutoff!r}")
         size = (self.cutoff + 1) ** self.n_modes
         if size > MAX_AMPLITUDES:
-            raise StateTooLargeError(
+            raise InfoCloneError(
                 f"(cutoff+1)^n_modes = {size} exceeds the {MAX_AMPLITUDES} amplitude budget"
             )
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (size,):
-            raise DimensionMismatchError(
+            raise InfoCloneError(
                 f"expected {size} amplitudes for {self.n_modes} modes at cutoff "
                 f"{self.cutoff}, got shape {amps.shape}"
             )
@@ -93,7 +87,7 @@ def coherent_vector(alpha: complex, cutoff: int) -> FockState:
     if cutoff < 1:
         raise InfoCloneError(f"cutoff must be >= 1, got {cutoff!r}")
     if abs(alpha) ** 2 > cutoff / 4.0:
-        raise AmplitudeTooLargeForCutoffError(
+        raise InfoCloneError(
             f"|alpha|^2 = {abs(alpha) ** 2:.4g} exceeds cutoff/4 = {cutoff / 4.0:.4g}"
         )
     amps = np.empty(cutoff + 1, dtype=complex)
@@ -110,7 +104,7 @@ def product_state(amplitudes: Sequence[complex], cutoff: int) -> FockState:
         raise InfoCloneError("at least one mode amplitude is required")
     size = (cutoff + 1) ** len(amps)
     if size > MAX_AMPLITUDES:
-        raise StateTooLargeError(
+        raise InfoCloneError(
             f"(cutoff+1)^n_modes = {size} exceeds the {MAX_AMPLITUDES} amplitude budget"
         )
     vec = coherent_vector(amps[0], cutoff).amplitudes
@@ -134,10 +128,19 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     the ancilla modes. It is exactly antisymmetric on the truncated space, so
     the evolution is unitary there; only the amplitude content near the
     cutoff is approximate.
+
+    The generator conserves the total photon number. On each sector that
+    the cutoff keeps whole (total <= cutoff) its eigenvalues are i*k with
+    integer k, so there the evolution has period 2*pi in R*t; the other
+    sectors are the truncation tail. An angle |R*t| > pi is therefore
+    reduced to [-pi, pi] first, which keeps the cost independent of t. The
+    reduced angle is atan2(sin(R*t), cos(R*t)), so it agrees with the cos
+    and sin that :func:`~infoclone.transform.build_transform` uses; a
+    remainder by the float 2*pi would drift by about 4e-17 rad per radian.
     """
     n_modes = state.n_modes
     if len(config.couplings) + 1 != n_modes:
-        raise DimensionMismatchError(
+        raise InfoCloneError(
             f"config has {len(config.couplings)} couplings but the state has "
             f"{n_modes} modes (need couplings + 1)"
         )
@@ -146,7 +149,10 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     ancilla_sum = sum(
         r * _mode_operator(a, j + 1, n_modes) for j, r in enumerate(config.couplings)
     )
-    generator = config.time * (held.T @ ancilla_sum - held @ ancilla_sum.T)
+    time, angle = config.time, config.angle
+    if abs(angle) > math.pi:
+        time = math.atan2(math.sin(angle), math.cos(angle)) / config.norm
+    generator = time * (held.T @ ancilla_sum - held @ ancilla_sum.T)
     evolved = expm_multiply(generator.tocsc(), state.amplitudes, traceA=0.0)
     return FockState(n_modes=n_modes, cutoff=state.cutoff, amplitudes=evolved)
 
@@ -154,7 +160,7 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
 def fidelity(a: FockState, b: FockState) -> float:
     """Squared overlap |<a|b>|^2, symmetric in its arguments."""
     if a.n_modes != b.n_modes or a.cutoff != b.cutoff:
-        raise DimensionMismatchError(
+        raise InfoCloneError(
             f"states live on different spaces: {a.n_modes} modes at cutoff {a.cutoff} "
             f"vs {b.n_modes} modes at cutoff {b.cutoff}"
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewClonesError, require_finite_complex, require_seed
+from .errors import InfoCloneError, require_finite_complex, require_seed
 
 __all__ = [
     "GROUP_MOMENTUM",
@@ -56,7 +56,7 @@ def group_sizes(n_copies: int) -> tuple[int, int]:
     """(n_position, n_momentum) = (ceil(N/2), floor(N/2)) for N clones."""
     n = int(n_copies)
     if n < 2:
-        raise TooFewClonesError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
+        raise InfoCloneError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
     return (n + 1) // 2, n // 2
 
 
@@ -64,7 +64,7 @@ def substream(seed: int, trial_index: int, group_tag: int) -> np.random.Generato
     """Philox stream for one measurement group of one trial."""
     seed = require_seed(seed)
     if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
+        raise InfoCloneError(f"trial_index must be >= 0, got {trial_index!r}")
     key = np.random.SeedSequence(entropy=seed, spawn_key=(int(trial_index), int(group_tag)))
     return np.random.Generator(np.random.Philox(key))
 

@@ -19,18 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyCouplingsError,
-    EpsilonOutOfRangeError,
-    InfoCloneError,
-    MissingBetaError,
-    NonFiniteInputError,
-    TooFewClonesError,
-    ZeroNormError,
-    require_finite_complex,
-    require_finite_real,
-)
+from .errors import InfoCloneError, require_finite_complex, require_finite_real
 
 __all__ = [
     "CouplingConfig",
@@ -38,7 +27,6 @@ __all__ = [
     "StrategySpec",
     "apply_transform",
     "build_transform",
-    "make_strategy",
     "orthogonality_residual",
 ]
 
@@ -56,19 +44,14 @@ class CouplingConfig:
 
     def __post_init__(self):
         if len(self.couplings) == 0:
-            raise EmptyCouplingsError("at least one coupling is required")
+            raise InfoCloneError("at least one coupling is required")
         couplings = tuple(require_finite_real(r, "coupling") for r in self.couplings)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "time", require_finite_real(self.time, "time"))
         norm = math.hypot(*couplings)
         if norm == 0.0:
-            raise ZeroNormError("all couplings are zero")
+            raise InfoCloneError("all couplings are zero")
         object.__setattr__(self, "norm", norm)
-
-    @property
-    def dim(self) -> int:
-        """Size of the amplitude vector the transform acts on (N + 1)."""
-        return len(self.couplings) + 1
 
     @property
     def angle(self) -> float:
@@ -115,13 +98,13 @@ def apply_transform(matrix: np.ndarray, amplitudes: Sequence[complex]) -> np.nda
     m = np.asarray(matrix, dtype=float)
     v = np.asarray(amplitudes, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {m.shape}")
+        raise InfoCloneError(f"matrix must be square, got shape {m.shape}")
     if v.ndim != 1 or v.size != m.shape[0]:
-        raise DimensionMismatchError(
+        raise InfoCloneError(
             f"amplitude vector of length {v.size} does not match matrix dim {m.shape[0]}"
         )
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise NonFiniteInputError("amplitude vector contains NaN or infinity")
+        raise InfoCloneError("amplitude vector contains NaN or infinity")
     return m @ v
 
 
@@ -146,7 +129,7 @@ class StrategySpec:
     This is the closed form of :func:`build_transform` for N equal couplings
     at the angle R*t = asin(sin_rt), where cos(R*t) >= 0: every ancilla
     output of (alpha, beta, ..., beta) is then gamma. sin_rt = -1 gives
-    gamma = alpha/sqrt(N) whatever beta is.
+    gamma = alpha/sqrt(N) whatever beta is. kind may be given by name.
     """
 
     kind: StrategyKind
@@ -158,25 +141,29 @@ class StrategySpec:
     offset_scale: float = field(init=False)
 
     def __post_init__(self):
-        kind = StrategyKind(self.kind)
+        try:
+            kind = StrategyKind(self.kind)
+        except ValueError:
+            names = ", ".join(k.value for k in StrategyKind)
+            raise InfoCloneError(f"unknown strategy {self.kind!r}, expected one of: {names}") from None
         object.__setattr__(self, "kind", kind)
         n = int(self.n_copies)
         if n < 2:
-            raise TooFewClonesError(f"n_copies must be >= 2, got {self.n_copies!r}")
+            raise InfoCloneError(f"n_copies must be >= 2, got {self.n_copies!r}")
         object.__setattr__(self, "n_copies", n)
 
         if kind is StrategyKind.NEAR_OPTIMAL:
             if self.epsilon is None:
-                raise EpsilonOutOfRangeError("near-optimal requires epsilon in (0, 1)")
+                raise InfoCloneError("near-optimal requires epsilon in (0, 1)")
             eps = require_finite_real(self.epsilon, "epsilon")
             if not 0.0 < eps < 1.0:
-                raise EpsilonOutOfRangeError(
+                raise InfoCloneError(
                     f"epsilon must lie in (0, 1), got {self.epsilon!r}"
                 )
             object.__setattr__(self, "epsilon", eps)
             sin_rt = -1.0 + eps
         elif self.epsilon is not None:
-            raise EpsilonOutOfRangeError(f"epsilon does not apply to {kind.value}")
+            raise InfoCloneError(f"epsilon does not apply to {kind.value}")
         elif kind is StrategyKind.OPTIMAL:
             sin_rt = -1.0
         else:
@@ -186,25 +173,10 @@ class StrategySpec:
             object.__setattr__(self, "beta", 0j)
         else:
             if self.beta is None:
-                raise MissingBetaError(f"{kind.value} requires a reference amplitude beta")
+                raise InfoCloneError(f"{kind.value} requires a reference amplitude beta")
             object.__setattr__(self, "beta", require_finite_complex(self.beta, "beta"))
 
         object.__setattr__(self, "sin_rt", sin_rt)
         object.__setattr__(self, "signal_scale", -sin_rt / math.sqrt(n))
         object.__setattr__(self, "offset_scale", math.sqrt(max(0.0, 1.0 - sin_rt * sin_rt)))
 
-
-def make_strategy(
-    kind: StrategyKind | str,
-    n_copies: int,
-    epsilon: float | None = None,
-    beta: complex | None = None,
-) -> StrategySpec:
-    """Build a validated :class:`StrategySpec`; kind may be given by name."""
-    if isinstance(kind, str):
-        try:
-            kind = StrategyKind(kind)
-        except ValueError:
-            names = ", ".join(k.value for k in StrategyKind)
-            raise InfoCloneError(f"unknown strategy {kind!r}, expected one of: {names}") from None
-    return StrategySpec(kind=kind, n_copies=n_copies, epsilon=epsilon, beta=beta)

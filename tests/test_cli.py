@@ -8,8 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from infoclone import make_strategy, run_trials
-from infoclone.cli import CSV_COLUMNS, DEFAULT_SEED, _summary_row, main
+from infoclone import StrategySpec, run_trials
+from infoclone.cli import DEFAULT_SEED, _summary_row, main
 
 
 def load_schema():
@@ -48,7 +48,7 @@ class TestTransformCommand:
     def test_empty_couplings(self, run_cli, capsys):
         code, _ = run_cli("transform", "--couplings", "", "--time", "1")
         assert code == 2
-        assert "EmptyCouplings" in capsys.readouterr().err
+        assert "error: InfoCloneError: at least one coupling is required" in capsys.readouterr().err
 
     def test_missing_couplings(self, run_cli):
         code, _ = run_cli("transform", "--time", "1")
@@ -122,7 +122,19 @@ class TestOracleCommand:
     def test_amplitude_guard(self, run_cli, capsys):
         code, _ = run_cli("oracle", "--couplings", "1", "--time", "1", "--alpha", "4,0")
         assert code == 2
-        assert "AmplitudeTooLargeForCutoff" in capsys.readouterr().err
+        assert "error: InfoCloneError: |alpha|^2 = 16 exceeds cutoff/4 = 6.25" in capsys.readouterr().err
+
+    def test_huge_time_costs_one_turn(self, run_cli):
+        # the evolution repeats every 2*pi of R*t, so R*t = 1e6 costs no more
+        # than its reduced angle and gives the same fidelity
+        args = ("oracle", "--couplings", "1", "--cutoff", "3", "--alpha", "0.5,0")
+        code, out = run_cli(*args, "--time", "1e6")
+        assert code == 0
+        reduced = math.atan2(math.sin(1e6), math.cos(1e6))
+        code, out_reduced = run_cli(*args, f"--time={reduced!r}")
+        assert code == 0
+        fid, fid_reduced = validate(out)["fidelity"], validate(out_reduced)["fidelity"]
+        assert fid == pytest.approx(fid_reduced, abs=1e-12)
 
 
 class TestEstimateCommand:
@@ -163,7 +175,10 @@ class TestEstimateCommand:
         )
         assert code == 0
         lines = out.decode("utf-8").split("\r\n")
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == (
+            "strategy,n_copies,epsilon,beta_re,beta_im,sin_rt,signal_scale,offset_scale,"
+            "alpha_re,alpha_im,trials,seed,mean_re,mean_im,std_re,std_im,theory_std_re,theory_std_im"
+        )
         assert len([line for line in lines if line]) == 2
 
     def test_memory_error_exit_code(self, run_cli, capsys):
@@ -185,14 +200,14 @@ class TestEstimateCommand:
     def test_offset_without_beta(self, run_cli, capsys):
         code, _ = run_cli("estimate", "--strategy", "offset", "--trials", "100")
         assert code == 2
-        assert "MissingBeta" in capsys.readouterr().err
+        assert "error: InfoCloneError: offset requires a reference amplitude beta" in capsys.readouterr().err
 
     def test_near_optimal_without_epsilon(self, run_cli, capsys):
         code, _ = run_cli(
             "estimate", "--strategy", "near-optimal", "--beta", "5,0", "--trials", "100"
         )
         assert code == 2
-        assert "EpsilonOutOfRange" in capsys.readouterr().err
+        assert "error: InfoCloneError: near-optimal requires epsilon in (0, 1)" in capsys.readouterr().err
 
     def test_default_seed_is_fixed(self, run_cli):
         _, out = run_cli("estimate", "--trials", "100")
@@ -398,11 +413,11 @@ class TestReproducibility:
 
 
 def test_row_columns_agree():
-    summary = run_trials(make_strategy("optimal", 2), 0j, 2, seed=0)
+    summary = run_trials(StrategySpec("optimal", 2), 0j, 2, seed=0)
     row_schema = SCHEMA["$defs"]["row"]
-    assert list(row_schema["properties"]) == list(CSV_COLUMNS)
-    assert row_schema["required"] == list(CSV_COLUMNS)
-    assert list(_summary_row(summary)) == list(CSV_COLUMNS)
+    columns = list(_summary_row(summary))
+    assert list(row_schema["properties"]) == columns
+    assert row_schema["required"] == columns
 
 
 def test_module_entry_point(tmp_path):
@@ -425,3 +440,25 @@ def test_usage_error_exit_code():
     # argparse would store --flag=-- as an empty list
     assert main(["estimate", "--format=--"]) == 2
     assert main(["transform", "--couplings", "1", "--time=--"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config, flag, form",
+    [
+        (["estimate", "--alpha", "1"], None, "--alpha", "RE,IM"),
+        (["estimate", "--alpha=a,b"], None, "--alpha", "RE,IM"),
+        (["transform", "--couplings", "x", "--time", "1"], None, "--couplings", "comma-separated numbers"),
+        (["estimate"], {"alpha": "1"}, "--alpha", "RE,IM"),
+    ],
+    ids=["alpha-one-number", "alpha-not-numbers", "couplings-not-numbers", "config-alpha-one-number"],
+)
+def test_flag_value_messages(argv, config, flag, form, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected " in err
+    assert form in err
+    assert "_parse_" not in err

@@ -3,9 +3,9 @@
 Drawn flags follow a valid run of the command and mostly take values close
 to valid ones, so that many draws succeed. Each run is kept cheap by flags
 placed after the drawn ones and the file (the last flag wins) and by drawing
-no number above 30 in size: that bounds clone counts, grid values and the
-oracle's R*t, whose cost grows linearly. The overflow and memory exits of
-huge values have their own tests in ``test_cli.py``.
+no number above 30 in size: that bounds clone counts and grid values. The
+overflow and memory exits of huge values have their own tests in
+``test_cli.py``.
 """
 
 import json

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from infoclone import InfoCloneError, make_strategy, run_trials
+from infoclone import InfoCloneError, StrategySpec, run_trials
 from infoclone.estimation import clone_amplitude, estimate_alpha, theoretical_std
 from infoclone.measurement import MeasurementRecord, measure_clones
 from infoclone.transform import CouplingConfig, apply_transform, build_transform
@@ -29,24 +29,24 @@ def raw_estimates(strategy, alpha, n_trials, seed):
 
 class TestCloneLinearMap:
     def test_optimal(self):
-        assert clone_amplitude(make_strategy("optimal", 4), 2.0 - 4.0j) == 1.0 - 2.0j
+        assert clone_amplitude(StrategySpec("optimal", 4), 2.0 - 4.0j) == 1.0 - 2.0j
 
     def test_offset(self):
-        gamma = clone_amplitude(make_strategy("offset", 2, beta=5.0), 1.0j)
+        gamma = clone_amplitude(StrategySpec("offset", 2, beta=5.0), 1.0j)
         assert gamma.real == pytest.approx(5.0 * math.sqrt(0.5), rel=1e-15)
         assert gamma.imag == pytest.approx(-0.5, rel=1e-15)
 
     def test_near_optimal(self):
-        gamma = clone_amplitude(make_strategy("near-optimal", 100, epsilon=0.1, beta=3.0), 1.0j)
+        gamma = clone_amplitude(StrategySpec("near-optimal", 100, epsilon=0.1, beta=3.0), 1.0j)
         assert gamma.real == pytest.approx(3.0 * math.sqrt(0.19), rel=1e-12)
         assert gamma.imag == pytest.approx(0.09, rel=1e-15)
 
     def test_matches_symmetric_clone_formula(self):
         rng = np.random.default_rng(3)
         strategies = [
-            make_strategy("optimal", 25),
-            make_strategy("offset", 8, beta=2.0 - 1.5j),
-            make_strategy("near-optimal", 50, epsilon=0.3, beta=-4.0 + 0.5j),
+            StrategySpec("optimal", 25),
+            StrategySpec("offset", 8, beta=2.0 - 1.5j),
+            StrategySpec("near-optimal", 50, epsilon=0.3, beta=-4.0 + 0.5j),
         ]
         for strategy in strategies:
             n, sin_rt = strategy.n_copies, strategy.sin_rt
@@ -63,18 +63,18 @@ class TestCloneLinearMap:
 
 class TestEstimateAlpha:
     def test_optimal_noise_free(self):
-        strategy = make_strategy("optimal", 100)
+        strategy = StrategySpec("optimal", 100)
         alpha = 1.5 - 0.5j
         record = noise_free_record(clone_amplitude(strategy, alpha))
         assert estimate_alpha(record, strategy) == pytest.approx(alpha, abs=1e-12)
 
     def test_offset_cancels_reference(self):
-        strategy = make_strategy("offset", 10, beta=5.0)
+        strategy = StrategySpec("offset", 10, beta=5.0)
         record = noise_free_record(clone_amplitude(strategy, 0j))
         assert abs(estimate_alpha(record, strategy)) <= 1e-12
 
     def test_near_optimal_inversion(self):
-        strategy = make_strategy("near-optimal", 100, epsilon=0.1, beta=50.0)
+        strategy = StrategySpec("near-optimal", 100, epsilon=0.1, beta=50.0)
         alpha = 1.0 + 1.0j
         record = noise_free_record(clone_amplitude(strategy, alpha))
         assert estimate_alpha(record, strategy) == pytest.approx(alpha, abs=1e-10)
@@ -83,30 +83,30 @@ class TestEstimateAlpha:
 class TestTheoreticalStd:
     def test_optimal_independent_of_copies(self):
         for n in (2, 10, 1000):
-            assert theoretical_std(make_strategy("optimal", n)) == (math.sqrt(0.5),) * 2
+            assert theoretical_std(StrategySpec("optimal", n)) == (math.sqrt(0.5),) * 2
 
     def test_offset(self):
-        assert theoretical_std(make_strategy("offset", 8, beta=1.0)) == (1.0, 1.0)
-        std_re, std_im = theoretical_std(make_strategy("offset", 7, beta=1.0))
+        assert theoretical_std(StrategySpec("offset", 8, beta=1.0)) == (1.0, 1.0)
+        std_re, std_im = theoretical_std(StrategySpec("offset", 7, beta=1.0))
         assert std_re == pytest.approx(math.sqrt(7 / 8), rel=1e-15)
         assert std_im == pytest.approx(math.sqrt(7 / 6), rel=1e-15)
 
     def test_near_optimal(self):
-        value = theoretical_std(make_strategy("near-optimal", 8, epsilon=0.1, beta=1.0))
+        value = theoretical_std(StrategySpec("near-optimal", 8, epsilon=0.1, beta=1.0))
         assert value == (math.sqrt(0.5) / (1.0 - 0.1),) * 2
         assert value[0] == pytest.approx(0.7857, abs=5e-5)
-        std_re, std_im = theoretical_std(make_strategy("near-optimal", 7, epsilon=0.1, beta=1.0))
+        std_re, std_im = theoretical_std(StrategySpec("near-optimal", 7, epsilon=0.1, beta=1.0))
         assert std_re == pytest.approx(math.sqrt(7 / 16) / 0.9, rel=1e-15)
         assert std_im == pytest.approx(math.sqrt(7 / 12) / 0.9, rel=1e-15)
 
     def test_odd_copies(self):
         # ceil(N/2) = (N+1)/2 clones are measured in position, floor(N/2) = (N-1)/2 in momentum
-        assert theoretical_std(make_strategy("optimal", 3)) == (0.6123724356957945, 0.8660254037844386)
+        assert theoretical_std(StrategySpec("optimal", 3)) == (0.6123724356957945, 0.8660254037844386)
         for n in (3, 5, 101):
             for strategy in (
-                make_strategy("optimal", n),
-                make_strategy("offset", n, beta=1.0),
-                make_strategy("near-optimal", n, epsilon=0.2, beta=1.0),
+                StrategySpec("optimal", n),
+                StrategySpec("offset", n, beta=1.0),
+                StrategySpec("near-optimal", n, epsilon=0.2, beta=1.0),
             ):
                 std_re, std_im = theoretical_std(strategy)
                 scale = abs(strategy.sin_rt)
@@ -116,25 +116,25 @@ class TestTheoreticalStd:
 
 class TestRunTrials:
     def test_two_trials_give_finite_summary(self):
-        summary = run_trials(make_strategy("optimal", 4), 0.2 + 0.1j, 2, seed=3)
+        summary = run_trials(StrategySpec("optimal", 4), 0.2 + 0.1j, 2, seed=3)
         assert summary.n_trials == 2
         assert math.isfinite(summary.std_re) and summary.std_re >= 0.0
         assert math.isfinite(summary.std_im) and summary.std_im >= 0.0
 
     def test_rejects_degenerate_trial_counts(self):
-        strategy = make_strategy("optimal", 4)
+        strategy = StrategySpec("optimal", 4)
         for m in (0, 1):
-            with pytest.raises(InfoCloneError):
+            with pytest.raises(InfoCloneError, match=f"n_trials must be >= 2, got {m}"):
                 run_trials(strategy, 0.1, m, seed=3)
 
     def test_deterministic(self):
-        strategy = make_strategy("near-optimal", 20, epsilon=0.2, beta=4.0)
+        strategy = StrategySpec("near-optimal", 20, epsilon=0.2, beta=4.0)
         a = run_trials(strategy, 1.0 - 2.0j, 500, seed=99)
         b = run_trials(strategy, 1.0 - 2.0j, 500, seed=99)
         assert a == b
 
     def test_summary_matches_recomputed_estimates(self):
-        strategy = make_strategy("offset", 12, beta=10.0 + 1.0j)
+        strategy = StrategySpec("offset", 12, beta=10.0 + 1.0j)
         alpha = -0.7 + 0.3j
         summary = run_trials(strategy, alpha, 400, seed=17)
         estimates = raw_estimates(strategy, alpha, 400, seed=17)
@@ -145,9 +145,9 @@ class TestRunTrials:
     @pytest.mark.parametrize(
         "strategy",
         [
-            make_strategy("optimal", 100),
-            make_strategy("offset", 100, beta=50.0),
-            make_strategy("near-optimal", 100, epsilon=0.1, beta=50.0),
+            StrategySpec("optimal", 100),
+            StrategySpec("offset", 100, beta=50.0),
+            StrategySpec("near-optimal", 100, epsilon=0.1, beta=50.0),
         ],
         ids=["optimal", "offset", "near-optimal"],
     )
@@ -162,9 +162,9 @@ class TestRunTrials:
     def test_unbiased_at_random_alpha(self):
         rng = np.random.default_rng(44)
         strategies = [
-            make_strategy("optimal", 10),
-            make_strategy("offset", 10, beta=20.0 - 5.0j),
-            make_strategy("near-optimal", 10, epsilon=0.25, beta=-30.0),
+            StrategySpec("optimal", 10),
+            StrategySpec("offset", 10, beta=20.0 - 5.0j),
+            StrategySpec("near-optimal", 10, epsilon=0.25, beta=-30.0),
         ]
         for strategy in strategies:
             for _ in range(2):
@@ -177,7 +177,7 @@ class TestRunTrials:
     def test_estimates_are_gaussian(self):
         # group averages of Gaussians are Gaussian, so the standardized
         # estimates must show vanishing skew and excess kurtosis
-        strategy = make_strategy("optimal", 100)
+        strategy = StrategySpec("optimal", 100)
         alpha = 1.5 - 0.5j
         trials = 100000
         estimates = raw_estimates(strategy, alpha, trials, seed=314)

@@ -1,14 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from infoclone.errors import (
-    AmplitudeTooLargeForCutoffError,
-    DimensionMismatchError,
-    InfoCloneError,
-    StateTooLargeError,
-)
+from infoclone.errors import InfoCloneError
 from infoclone.fock import (
     FockState,
     annihilation,
@@ -38,11 +34,11 @@ class TestCoherentVector:
         assert abs(state.norm() ** 2 - 1.0) <= 1e-12
 
     def test_amplitude_guard(self):
-        with pytest.raises(AmplitudeTooLargeForCutoffError):
+        with pytest.raises(InfoCloneError, match=re.escape("|alpha|^2 = 9 exceeds cutoff/4 = 1")):
             coherent_vector(3.0, 4)
 
     def test_bad_cutoff(self):
-        with pytest.raises(InfoCloneError):
+        with pytest.raises(InfoCloneError, match="cutoff must be >= 1, got 0"):
             coherent_vector(0.1, 0)
 
 
@@ -64,7 +60,7 @@ class TestProductState:
         assert state.norm() >= 1.0 - 1e-10
 
     def test_size_guard(self):
-        with pytest.raises(StateTooLargeError):
+        with pytest.raises(InfoCloneError, match=re.escape("(cutoff+1)^n_modes = 1212201 exceeds")):
             product_state([0.1, 0.1], 1100)
 
     def test_index_order_first_mode_slowest(self):
@@ -98,6 +94,28 @@ class TestEvolve:
         out = evolve(state, cfg)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
+    @pytest.mark.parametrize("couplings", [[1.3], [0.8, -0.6]])
+    @pytest.mark.parametrize("turns", [1, 3, 10])
+    def test_whole_turns_match_steps_below_pi(self, couplings, turns):
+        # one evolve at |R*t| > pi (angle reduced) against the same angle
+        # walked in steps of |R*t| <= pi (no reduction)
+        cutoff, norm = 10, math.hypot(*couplings)
+        angle = 0.7 + 2.0 * math.pi * turns
+        n_steps = math.ceil(angle / math.pi)
+        state = product_state([0.5 + 0.2j] + [-0.3j] * len(couplings), cutoff)
+        whole = evolve(state, CouplingConfig(couplings, angle / norm))
+        stepped = state
+        for _ in range(n_steps):
+            stepped = evolve(stepped, CouplingConfig(couplings, angle / norm / n_steps))
+        # exact on the photon-number sectors the cutoff keeps whole; the rest
+        # is the truncation tail
+        n_total = np.indices((cutoff + 1,) * state.n_modes).reshape(state.n_modes, -1).sum(axis=0)
+        whole_sectors = n_total <= cutoff
+        np.testing.assert_allclose(
+            whole.amplitudes[whole_sectors], stepped.amplitudes[whole_sectors], rtol=0, atol=1e-13
+        )
+        assert fidelity(whole, stepped) == pytest.approx(fidelity(stepped, stepped), abs=1e-12)
+
     def test_quarter_turn_single_ancilla(self):
         cfg = CouplingConfig([1.0], math.pi / 2)
         out = evolve(product_state([0.6, 0.0], 25), cfg)
@@ -116,7 +134,7 @@ class TestEvolve:
 
     def test_mode_count_mismatch(self):
         cfg = CouplingConfig([1.0, 1.0], 0.5)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InfoCloneError, match=re.escape("config has 2 couplings but the state has 2 modes")):
             evolve(product_state([0.1, 0.1], 10), cfg)
 
     def test_products_stay_products_single_ancilla(self):
@@ -163,15 +181,15 @@ class TestFidelity:
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), rel=1e-12)
 
     def test_space_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InfoCloneError, match="states live on different spaces"):
             fidelity(coherent_vector(0.1, 10), coherent_vector(0.1, 11))
 
 
 class TestFockState:
     def test_size_guard(self):
-        with pytest.raises(StateTooLargeError):
+        with pytest.raises(InfoCloneError, match=re.escape("(cutoff+1)^n_modes = 104060401 exceeds")):
             FockState(n_modes=4, cutoff=100, amplitudes=np.zeros(101**4, dtype=complex))
 
     def test_length_check(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InfoCloneError, match=re.escape("expected 4 amplitudes for 1 modes at cutoff 3")):
             FockState(n_modes=1, cutoff=3, amplitudes=np.zeros(5, dtype=complex))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from infoclone.errors import InfoCloneError, TooFewClonesError
+from infoclone.errors import InfoCloneError
 from infoclone.measurement import (
     GROUP_MOMENTUM,
     GROUP_POSITION,
@@ -65,8 +65,12 @@ class TestMeasureClones:
         assert record.z == substream(5, 0, GROUP_MOMENTUM).normal(0.0, QUADRATURE_STD)
 
     def test_too_few_clones(self):
-        with pytest.raises(TooFewClonesError):
+        with pytest.raises(InfoCloneError, match="need at least 2 clones to fill both groups, got 1"):
             measure_clones(0.1, 1, seed=5)
+
+    def test_negative_trial_index(self):
+        with pytest.raises(InfoCloneError, match="trial_index must be >= 0, got -1"):
+            measure_clones(0.1, 4, seed=5, trial_index=-1)
 
     def test_deterministic(self):
         a = measure_clones(0.4 - 0.2j, 10, seed=123, trial_index=17)

@@ -1,25 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from infoclone.errors import (
-    DimensionMismatchError,
-    EmptyCouplingsError,
-    EpsilonOutOfRangeError,
-    InfoCloneError,
-    MissingBetaError,
-    NonFiniteInputError,
-    TooFewClonesError,
-    ZeroNormError,
-)
+from infoclone.errors import InfoCloneError
 from infoclone.transform import (
     CouplingConfig,
     StrategyKind,
+    StrategySpec,
     apply_transform,
     build_transform,
-    make_strategy,
     orthogonality_residual,
 )
 
@@ -57,21 +49,21 @@ class TestBuildCoupling:
         assert CouplingConfig([1, 1, 1, 1], 0.37).norm == 2.0
 
     def test_empty_couplings(self):
-        with pytest.raises(EmptyCouplingsError):
+        with pytest.raises(InfoCloneError, match="at least one coupling is required"):
             CouplingConfig([], 1.0)
 
     def test_all_zero(self):
-        with pytest.raises(ZeroNormError):
+        with pytest.raises(InfoCloneError, match="all couplings are zero"):
             CouplingConfig([0.0, 0.0], 1.0)
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(InfoCloneError, match="coupling must be finite, got nan"):
             CouplingConfig([1.0, math.nan], 1.0)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(InfoCloneError, match="time must be finite, got inf"):
             CouplingConfig([1.0], math.inf)
 
     def test_complex_coupling_rejected(self):
-        with pytest.raises(InfoCloneError):
+        with pytest.raises(InfoCloneError, match="coupling must be real"):
             CouplingConfig([1.0 + 2.0j], 1.0)
 
 
@@ -147,7 +139,8 @@ class TestApplyTransform:
         for _ in range(300):
             cfg = random_config(rng)
             u = build_transform(cfg)
-            v = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+            dim = len(cfg.couplings) + 1
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             out = apply_transform(u, v)
             before = np.sum(np.abs(v) ** 2)
             after = np.sum(np.abs(out) ** 2)
@@ -155,12 +148,12 @@ class TestApplyTransform:
 
     def test_dimension_mismatch(self):
         u = build_transform(CouplingConfig([1.0], 0.3))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InfoCloneError, match="amplitude vector of length 3 does not match matrix dim 2"):
             apply_transform(u, [1.0, 2.0, 3.0])
 
     def test_non_finite_vector(self):
         u = build_transform(CouplingConfig([1.0], 0.3))
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(InfoCloneError, match="amplitude vector contains NaN or infinity"):
             apply_transform(u, [complex(math.nan, 0.0), 0.0])
 
 
@@ -179,7 +172,7 @@ class TestSymmetricCloneParams:
     """The equal-coupling clone map that StrategySpec holds, against the matrix."""
 
     def test_full_swap_attenuates_by_root_n(self):
-        out = strategy_outputs(make_strategy("optimal", 4), 2j)
+        out = strategy_outputs(StrategySpec("optimal", 4), 2j)
         np.testing.assert_allclose(out, [0j, 1j, 1j, 1j, 1j], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
@@ -190,7 +183,7 @@ class TestSymmetricCloneParams:
 
     def test_near_full_swap_exact_offset_coefficient(self):
         eps = 0.02
-        strategy = make_strategy("near-optimal", 100, epsilon=eps, beta=10.0)
+        strategy = StrategySpec("near-optimal", 100, epsilon=eps, beta=10.0)
         expected = (1.0 - eps) / 10.0 + math.sqrt(2.0 * eps - eps * eps) * 10.0
         assert strategy.signal_scale + strategy.offset_scale * 10.0 == pytest.approx(
             expected, rel=1e-12
@@ -206,9 +199,9 @@ class TestSymmetricCloneParams:
             eps = float(rng.uniform(0.01, 0.99))
             coupling = float(rng.uniform(0.2, 2.0))
             for strategy in (
-                make_strategy("optimal", n),
-                make_strategy("offset", n, beta=beta),
-                make_strategy("near-optimal", n, epsilon=eps, beta=beta),
+                StrategySpec("optimal", n),
+                StrategySpec("offset", n, beta=beta),
+                StrategySpec("near-optimal", n, epsilon=eps, beta=beta),
             ):
                 out = strategy_outputs(strategy, alpha, coupling)
                 clone = strategy.signal_scale * alpha + strategy.offset_scale * strategy.beta
@@ -217,7 +210,7 @@ class TestSymmetricCloneParams:
     def test_full_swap_clone_independent_of_beta(self):
         alpha = 0.9 + 0.1j
         for n in (2, 5, 100):
-            strategy = make_strategy("optimal", n)
+            strategy = StrategySpec("optimal", n)
             assert strategy.signal_scale * alpha == pytest.approx(alpha / math.sqrt(n), rel=1e-15)
             u = build_transform(CouplingConfig([1.0] * n, -math.pi / (2.0 * math.sqrt(n))))
             for beta in (0j, 47.0 - 3.0j):
@@ -227,7 +220,7 @@ class TestSymmetricCloneParams:
 
 class TestMakeStrategy:
     def test_optimal(self):
-        s = make_strategy("optimal", 4)
+        s = StrategySpec("optimal", 4)
         assert s.kind is StrategyKind.OPTIMAL
         assert s.sin_rt == -1.0
         assert s.signal_scale == 0.5
@@ -235,10 +228,10 @@ class TestMakeStrategy:
         assert s.beta == 0j
 
     def test_optimal_ignores_beta(self):
-        assert make_strategy("optimal", 4, beta=9.0).beta == 0j
+        assert StrategySpec("optimal", 4, beta=9.0).beta == 0j
 
     def test_offset(self):
-        s = make_strategy("offset", 2, beta=5.0)
+        s = StrategySpec("offset", 2, beta=5.0)
         assert s.sin_rt == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert abs(s.signal_scale) == pytest.approx(0.5, rel=1e-15)
         assert s.signal_scale < 0.0
@@ -246,45 +239,46 @@ class TestMakeStrategy:
         assert s.beta == 5.0 + 0j
 
     def test_near_optimal(self):
-        s = make_strategy("near-optimal", 100, epsilon=0.1, beta=3.0)
+        s = StrategySpec("near-optimal", 100, epsilon=0.1, beta=3.0)
         assert s.sin_rt == pytest.approx(-0.9, rel=1e-15)
         assert s.signal_scale == pytest.approx(0.09, rel=1e-15)
         assert s.offset_scale == pytest.approx(math.sqrt(0.19), rel=1e-12)
 
     def test_derived_fields_consistent(self):
         for s in (
-            make_strategy("optimal", 7),
-            make_strategy("offset", 11, beta=2.0 - 1.0j),
-            make_strategy("near-optimal", 31, epsilon=0.4, beta=1j),
+            StrategySpec("optimal", 7),
+            StrategySpec("offset", 11, beta=2.0 - 1.0j),
+            StrategySpec("near-optimal", 31, epsilon=0.4, beta=1j),
         ):
             assert s.offset_scale >= 0.0
             assert s.offset_scale**2 + s.sin_rt**2 == pytest.approx(1.0, abs=1e-15)
             assert s.signal_scale == pytest.approx(-s.sin_rt / math.sqrt(s.n_copies), rel=1e-15)
 
     def test_enum_kind_accepted(self):
-        assert make_strategy(StrategyKind.OPTIMAL, 2).kind is StrategyKind.OPTIMAL
+        assert StrategySpec(StrategyKind.OPTIMAL, 2).kind is StrategyKind.OPTIMAL
 
     def test_missing_beta(self):
-        with pytest.raises(MissingBetaError):
-            make_strategy("offset", 2)
-        with pytest.raises(MissingBetaError):
-            make_strategy("near-optimal", 2, epsilon=0.1)
+        with pytest.raises(InfoCloneError, match="offset requires a reference amplitude beta"):
+            StrategySpec("offset", 2)
+        with pytest.raises(InfoCloneError, match="near-optimal requires a reference amplitude beta"):
+            StrategySpec("near-optimal", 2, epsilon=0.1)
 
     def test_epsilon_out_of_range(self):
         for eps in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(EpsilonOutOfRangeError):
-                make_strategy("near-optimal", 2, epsilon=eps, beta=1.0)
-        with pytest.raises(EpsilonOutOfRangeError):
-            make_strategy("near-optimal", 2, beta=1.0)
+            with pytest.raises(InfoCloneError, match=re.escape(f"epsilon must lie in (0, 1), got {eps!r}")):
+                StrategySpec("near-optimal", 2, epsilon=eps, beta=1.0)
+        with pytest.raises(InfoCloneError, match=re.escape("near-optimal requires epsilon in (0, 1)")):
+            StrategySpec("near-optimal", 2, beta=1.0)
 
     def test_epsilon_rejected_elsewhere(self):
-        with pytest.raises(EpsilonOutOfRangeError):
-            make_strategy("optimal", 2, epsilon=0.1)
+        with pytest.raises(InfoCloneError, match="epsilon does not apply to optimal"):
+            StrategySpec("optimal", 2, epsilon=0.1)
 
     def test_too_few_copies(self):
-        with pytest.raises(TooFewClonesError):
-            make_strategy("optimal", 1)
+        with pytest.raises(InfoCloneError, match="n_copies must be >= 2, got 1"):
+            StrategySpec("optimal", 1)
 
     def test_unknown_kind(self):
-        with pytest.raises(InfoCloneError):
-            make_strategy("pessimal", 2)
+        expected = "unknown strategy 'pessimal', expected one of: optimal, offset, near-optimal"
+        with pytest.raises(InfoCloneError, match=re.escape(expected)):
+            StrategySpec("pessimal", 2)
