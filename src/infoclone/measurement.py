@@ -1,4 +1,4 @@
-"""Ideal quadrature measurements on clone states.
+"""Per-clone reference sampler for ideal quadrature measurements on clone states.
 
 A coherent state with amplitude gamma has Gaussian position and momentum
 statistics: measuring x = (a + a^T)/sqrt(2) yields Normal(sqrt(2)*Re(gamma),
@@ -6,17 +6,15 @@ statistics: measuring x = (a + a^T)/sqrt(2) yields Normal(sqrt(2)*Re(gamma),
 Sampling those distributions directly is therefore an exact simulation of
 ideal homodyne-style measurement on the clones.
 
-Reproducibility contract: every random draw comes from a Philox stream keyed
-by SeedSequence(seed, spawn_key=(trial_index, group_tag)), one stream per
-measurement group per trial. Streams are independent, so reordering the
-position and momentum groups never changes either group's samples, and
-trials can run in parallel.
+One trial costs O(N) here; the tests compare the campaign engine, which
+draws the two group averages directly, against this sampler. Each group of
+each trial draws from its own Philox stream, keyed by SeedSequence(seed,
+spawn_key=(trial_index, group_tag)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +24,6 @@ __all__ = [
     "GROUP_MOMENTUM",
     "GROUP_POSITION",
     "QUADRATURE_STD",
-    "MeasurementRecord",
     "group_sizes",
     "measure_clones",
     "substream",
@@ -39,17 +36,6 @@ GROUP_POSITION = 0
 GROUP_MOMENTUM = 1
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Group averages from measuring N clones that all carry amplitude gamma.
-
-    y is the mean of the position samples, z the mean of the momentum samples.
-    """
-
-    y: float
-    z: float
 
 
 def group_sizes(n_copies: int) -> tuple[int, int]:
@@ -74,9 +60,10 @@ def measure_clones(
     n_copies: int,
     seed: int,
     trial_index: int = 0,
-) -> MeasurementRecord:
+) -> tuple[float, float]:
     """Measure N clones, position on one group and momentum on the other.
 
+    Returns the group averages (y, z) of the position and momentum samples.
     The groups have the sizes :func:`group_sizes` gives, and each draws its
     samples in one batch from its own substream.
     """
@@ -87,4 +74,4 @@ def measure_clones(
     rng_mom = substream(seed, trial_index, GROUP_MOMENTUM)
     y = float(rng_pos.normal(_SQRT2 * gamma.real, QUADRATURE_STD, size=n_position).mean())
     z = float(rng_mom.normal(_SQRT2 * gamma.imag, QUADRATURE_STD, size=n_momentum).mean())
-    return MeasurementRecord(y=y, z=z)
+    return y, z

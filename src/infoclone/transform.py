@@ -51,6 +51,8 @@ class CouplingConfig:
         norm = math.hypot(*couplings)
         if norm == 0.0:
             raise InfoCloneError("all couplings are zero")
+        if not math.isfinite(norm * self.time):
+            raise InfoCloneError(f"couplings {couplings} and time {self.time!r} give a non-finite angle R*t")
         object.__setattr__(self, "norm", norm)
 
     @property

@@ -9,12 +9,14 @@ from scipy.linalg import expm
 
 from infoclone import (
     CouplingConfig,
+    StrategySpec,
     apply_transform,
     build_transform,
     evolve,
     fidelity,
     orthogonality_residual,
     product_state,
+    run_trials,
 )
 from infoclone.cli import main
 from infoclone.measurement import measure_clones
@@ -158,11 +160,37 @@ def test_criterion_5_near_optimal_factor(acceptance, near_optimal_rows):
     )
 
 
+# Criteria 1, 3, 4 and 5 with their tolerances, on seeds fixed in advance.
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_statistical_criteria_on_several_seeds(seed):
+    trials = int(TRIALS)
+    def campaign(*strategy, **options):
+        return run_trials(StrategySpec(*strategy, **options), ALPHA_C, trials, seed)
+
+    optimal = campaign("optimal", 100)
+    offset = campaign("offset", 100, beta=50.0)
+    near = {eps: campaign("near-optimal", 100, epsilon=eps, beta=50.0) for eps in (0.05, 0.1, 0.2)}
+    for std in (optimal.std_re, optimal.std_im):
+        assert abs(std / OPTIMAL_STD - 1.0) <= 0.015
+    bound = 5.0 * OPTIMAL_STD / math.sqrt(trials)
+    for summary in (optimal, offset, near[0.1]):
+        assert abs(summary.mean_estimate.real - ALPHA_C.real) <= bound
+        assert abs(summary.mean_estimate.imag - ALPHA_C.imag) <= bound
+    for std in (offset.std_re, offset.std_im):
+        assert abs(std - 1.0) <= 0.015
+    target = OPTIMAL_STD / 0.9
+    expected_ratio = (1.0 - 0.05) / (1.0 - 0.2)
+    for key in ("std_re", "std_im"):
+        assert abs(getattr(near[0.1], key) / target - 1.0) <= 0.02
+        ratio = getattr(near[0.2], key) / getattr(near[0.05], key)
+        assert abs(ratio / expected_ratio - 1.0) <= 0.03
+
+
 def test_criterion_6_group_average_distribution(acceptance):
     n, trials = 100, 100000
     gamma = ALPHA_C / math.sqrt(n)
     ys = np.array(
-        [measure_clones(gamma, n, seed=606, trial_index=i).y for i in range(trials)]
+        [measure_clones(gamma, n, seed=606, trial_index=i)[0] for i in range(trials)]
     )
     expected_mean = math.sqrt(2.0 / n) * ALPHA_C.real
     se = (1.0 / math.sqrt(n)) / math.sqrt(trials)

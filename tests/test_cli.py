@@ -80,6 +80,23 @@ class TestTransformCommand:
         assert (report["alpha_re"], report["alpha_im"]) == (0.3, -1.2)
         assert (report["beta_re"], report["beta_im"]) == (0.5, 0.25)
 
+    # R*t overflows to inf, or the norm overflows and inf * 0 is nan
+    @pytest.mark.parametrize(
+        "command, couplings, time",
+        [
+            ("transform", "1e200", "1e200"),
+            ("oracle", "1e200", "1e200"),
+            ("transform", "1e308,1e308,1e308,1e308", "0"),
+        ],
+        ids=["transform-huge-angle", "oracle-huge-angle", "overflowing-norm"],
+    )
+    def test_non_finite_angle(self, run_cli, capsys, command, couplings, time):
+        code, _ = run_cli(command, "--couplings", couplings, "--time", time)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: InfoCloneError:" in err
+        assert "couplings" in err
+
     # sum(r^2) underflows to 0 or overflows to inf, though R*t = sqrt(2) is fine
     @pytest.mark.parametrize(
         "couplings, time",
@@ -182,10 +199,20 @@ class TestEstimateCommand:
         assert len([line for line in lines if line]) == 2
 
     def test_memory_error_exit_code(self, run_cli, capsys):
-        # numpy refuses the 7.28 TiB sample request before allocating anything
-        code, _ = run_cli("estimate", "--n-copies", "2000000000000", "--trials", "2")
+        # numpy refuses the 14.6 TiB draw request before allocating anything
+        code, _ = run_cli("estimate", "--trials", "1000000000000")
         assert code == 2
         assert "MemoryError" in capsys.readouterr().err
+
+    def test_huge_clone_count_is_cheap(self, run_cli):
+        # a campaign draws the group averages, not the clones, so N costs nothing
+        code, out = run_cli("estimate", "--n-copies", "2000000000000", "--trials", "1000")
+        assert code == 0
+        (row,) = validate(out)["rows"]
+        assert row["theory_std_re"] == row["theory_std_im"] == math.sqrt(0.5)
+        bound = 5.0 * math.sqrt(0.5) / math.sqrt(1000)
+        assert abs(row["mean_re"] - 1.0) <= bound
+        assert abs(row["mean_im"]) <= bound
 
     def test_overflow_error_exit_code(self, run_cli, capsys):
         # sqrt of a 401-digit clone count does not fit in a double

@@ -5,26 +5,44 @@ import pytest
 
 from infoclone import InfoCloneError, StrategySpec, run_trials
 from infoclone.estimation import clone_amplitude, estimate_alpha, theoretical_std
-from infoclone.measurement import MeasurementRecord, measure_clones
+from infoclone.measurement import group_sizes, measure_clones
 from infoclone.transform import CouplingConfig, apply_transform, build_transform
 
 SQRT2 = math.sqrt(2.0)
 
 
 def noise_free_record(gamma):
-    """Record whose group averages sit exactly at their expectations."""
-    return MeasurementRecord(y=SQRT2 * gamma.real, z=SQRT2 * gamma.imag)
+    """Group averages (y, z) that sit exactly at their expectations."""
+    return SQRT2 * gamma.real, SQRT2 * gamma.imag
 
 
 def raw_estimates(strategy, alpha, n_trials, seed):
-    """Per-trial estimates recomputed outside run_trials from the same streams."""
+    """Per-trial estimates from the per-clone reference sampler."""
     gamma = clone_amplitude(strategy, alpha)
     return np.array(
         [
-            estimate_alpha(measure_clones(gamma, strategy.n_copies, seed, trial_index=i), strategy)
+            estimate_alpha(*measure_clones(gamma, strategy.n_copies, seed, trial_index=i), strategy)
             for i in range(n_trials)
         ]
     )
+
+
+def scheme_estimates(strategy, alpha, n_trials, seed):
+    """Per-trial estimates recomputed outside run_trials, one trial at a time.
+
+    Trial i reads standard normals 2i and 2i+1 of the Philox stream of
+    SeedSequence(seed) and maps them onto its group averages.
+    """
+    gamma = clone_amplitude(strategy, alpha)
+    n_position, n_momentum = group_sizes(strategy.n_copies)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    estimates = []
+    for _ in range(n_trials):
+        xi = rng.standard_normal(2)
+        y = SQRT2 * gamma.real + xi[0] / math.sqrt(2.0 * n_position)
+        z = SQRT2 * gamma.imag + xi[1] / math.sqrt(2.0 * n_momentum)
+        estimates.append(estimate_alpha(y, z, strategy))
+    return np.array(estimates)
 
 
 class TestCloneLinearMap:
@@ -66,18 +84,18 @@ class TestEstimateAlpha:
         strategy = StrategySpec("optimal", 100)
         alpha = 1.5 - 0.5j
         record = noise_free_record(clone_amplitude(strategy, alpha))
-        assert estimate_alpha(record, strategy) == pytest.approx(alpha, abs=1e-12)
+        assert estimate_alpha(*record, strategy) == pytest.approx(alpha, abs=1e-12)
 
     def test_offset_cancels_reference(self):
         strategy = StrategySpec("offset", 10, beta=5.0)
         record = noise_free_record(clone_amplitude(strategy, 0j))
-        assert abs(estimate_alpha(record, strategy)) <= 1e-12
+        assert abs(estimate_alpha(*record, strategy)) <= 1e-12
 
     def test_near_optimal_inversion(self):
         strategy = StrategySpec("near-optimal", 100, epsilon=0.1, beta=50.0)
         alpha = 1.0 + 1.0j
         record = noise_free_record(clone_amplitude(strategy, alpha))
-        assert estimate_alpha(record, strategy) == pytest.approx(alpha, abs=1e-10)
+        assert estimate_alpha(*record, strategy) == pytest.approx(alpha, abs=1e-10)
 
 
 class TestTheoreticalStd:
@@ -137,10 +155,26 @@ class TestRunTrials:
         strategy = StrategySpec("offset", 12, beta=10.0 + 1.0j)
         alpha = -0.7 + 0.3j
         summary = run_trials(strategy, alpha, 400, seed=17)
-        estimates = raw_estimates(strategy, alpha, 400, seed=17)
+        estimates = scheme_estimates(strategy, alpha, 400, seed=17)
         assert summary.mean_estimate == complex(estimates.mean())
         assert summary.std_re == float(estimates.real.std(ddof=1))
         assert summary.std_im == float(estimates.imag.std(ddof=1))
+
+    @pytest.mark.parametrize("n", [3, 9, 10])
+    def test_matches_per_clone_reference(self, n):
+        # the engine draws the group averages, the reference draws every
+        # clone; both must give the same estimate distribution
+        strategy = StrategySpec("near-optimal", n, epsilon=0.3, beta=2.0 - 1.0j)
+        alpha, trials = 0.8 + 1.7j, 4000
+        engine = run_trials(strategy, alpha, trials, seed=101)
+        reference = raw_estimates(strategy, alpha, trials, seed=202)
+        for mean, std, values in [
+            (engine.mean_estimate.real, engine.std_re, reference.real),
+            (engine.mean_estimate.imag, engine.std_im, reference.imag),
+        ]:
+            ref_std = values.std(ddof=1)
+            assert abs(mean - values.mean()) <= 5.0 * math.sqrt((std**2 + ref_std**2) / trials)
+            assert abs(std - ref_std) <= 5.0 * math.sqrt((std**2 + ref_std**2) / (2 * (trials - 1)))
 
     @pytest.mark.parametrize(
         "strategy",
