@@ -25,7 +25,7 @@ import sys
 
 from .errors import InfoCloneError, require_seed
 from .estimation import EstimateSummary, run_trials
-from .fock import evolve, fidelity, product_state
+from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, truncation_tail
 from .transform import (
     CouplingConfig,
     StrategyKind,
@@ -38,7 +38,6 @@ from .transform import (
 __all__ = ["DEFAULT_SEED", "FIDELITY_THRESHOLD", "main", "console_main"]
 
 DEFAULT_SEED = 12345
-FIDELITY_THRESHOLD = 0.999
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +290,6 @@ def cmd_transform(cfg: dict) -> tuple[int, dict]:
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     n_ancillas = len(config.couplings)
-    if n_ancillas > 2:
-        raise InfoCloneError(f"oracle supports at most 2 ancilla modes, got {n_ancillas}")
     cutoff = cfg["cutoff"]
     alpha, beta = cfg["alpha"], cfg["beta"]
     amplitudes = [alpha] + [beta] * n_ancillas
@@ -313,6 +310,7 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
         "beta_im": beta.imag,
         "n_modes": n_ancillas + 1,
         "state_size": initial.amplitudes.size,
+        "truncation_tail": truncation_tail(amplitudes, cutoff),
         "predicted_amplitudes": [[z.real, z.imag] for z in predicted],
         "evolved_norm": evolved.norm(),
         "fidelity": fid,
@@ -432,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.set_defaults(run=cmd_oracle)
     oracle.add_argument(
-        "--cutoff", type=int, default=25, metavar="NMAX", help="per-mode cutoff (default %(default)s)"
+        "--cutoff", type=int, default=25, metavar="NMAX",
+        help="total photon-number cutoff (default %(default)s)",
     )
     sub.add_parser(
         "estimate",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfoCloneError, require_finite_complex, require_seed
+from .measurement import group_sizes
 from .transform import StrategySpec
 
 __all__ = [
@@ -72,15 +73,10 @@ def estimate_alpha(y, z, strategy: StrategySpec):
     return shifted / strategy.signal_scale
 
 
-def _group_sizes(n: int) -> tuple[int, int]:
-    """(n_position, n_momentum) = (ceil(N/2), floor(N/2))."""
-    return (n + 1) // 2, n // 2
-
-
 def theoretical_std(strategy: StrategySpec) -> tuple[float, float]:
     """Predicted (real, imaginary) standard deviation of the estimate."""
     n = strategy.n_copies
-    n_position, n_momentum = _group_sizes(n)
+    n_position, n_momentum = group_sizes(n)
     scale = abs(strategy.sin_rt)
     return (
         math.sqrt(n / (4.0 * n_position)) / scale,
@@ -108,7 +104,7 @@ def run_trials(
         raise InfoCloneError(f"n_trials must be >= 2, got {n_trials!r}")
     seed = require_seed(seed)
     gamma = require_finite_complex(clone_amplitude(strategy, true_alpha), "gamma")
-    n_position, n_momentum = _group_sizes(strategy.n_copies)
+    n_position, n_momentum = group_sizes(strategy.n_copies)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     xi = rng.standard_normal((m, 2))
     y = _SQRT2 * gamma.real + xi[:, 0] / math.sqrt(2.0 * n_position)

@@ -128,18 +128,76 @@ class TestOracleCommand:
         report = validate(out)
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_size_guard(self, run_cli):
-        code, _ = run_cli("oracle", "--couplings", "1", "--time", "1", "--cutoff", "1000")
+    def test_size_guard(self, run_cli, capsys):
+        # 3 ancillas at cutoff 70: C(74, 4) = 1150626 states, over the budget
+        code, _ = run_cli("oracle", "--couplings", "1,1,1", "--time", "1", "--cutoff", "70")
         assert code == 2
+        assert "C(cutoff+n_modes, n_modes) = 1150626 exceeds" in capsys.readouterr().err
 
-    def test_too_many_ancillas(self, run_cli):
-        code, _ = run_cli("oracle", "--couplings", "1,1,1", "--time", "1")
+    def test_too_many_ancillas(self, run_cli, capsys):
+        # no ancilla cap: 60 ancillas at cutoff 5 are refused by the amplitude
+        # budget alone, C(66, 5) = 8936928
+        couplings = ",".join(["1"] * 60)
+        code, _ = run_cli("oracle", "--couplings", couplings, "--time", "1", "--cutoff", "5", "--alpha=0.1,0")
         assert code == 2
+        err = capsys.readouterr().err
+        assert "C(cutoff+n_modes, n_modes) = 8936928 exceeds the 1000000 amplitude budget" in err
 
     def test_amplitude_guard(self, run_cli, capsys):
         code, _ = run_cli("oracle", "--couplings", "1", "--time", "1", "--alpha", "4,0")
         assert code == 2
-        assert "error: InfoCloneError: |alpha|^2 = 16 exceeds cutoff/4 = 6.25" in capsys.readouterr().err
+        # P(Poisson(16) > 25) = 0.0131
+        assert (
+            "error: InfoCloneError: truncation tail P(Poisson(sum |a|^2) > 25) = 0.0131 exceeds 0.00025"
+            in capsys.readouterr().err
+        )
+
+    # C(cutoff + n_modes, n_modes) states
+    @pytest.mark.parametrize(
+        "couplings, cutoff, size", [("1", "1", 3), ("1,2", "10", 286), ("1,1", "99", 171700)]
+    )
+    def test_state_size(self, run_cli, couplings, cutoff, size):
+        code, out = run_cli(
+            "oracle", "--couplings", couplings, "--time", "0.4", "--alpha=0.01,0", "--cutoff", cutoff
+        )
+        assert code == 0
+        assert validate(out)["state_size"] == size
+
+    @pytest.mark.parametrize(
+        "couplings, cutoff", [("1,1,1", "25"), ("0.5,1,1.5,-0.7", "20")], ids=["3-ancillas", "4-ancillas"]
+    )
+    def test_more_ancillas_pass(self, run_cli, couplings, cutoff):
+        code, out = run_cli(
+            "oracle", "--couplings", couplings, "--time", "0.8", "--alpha=0.6,-0.3", "--beta=0.2,0.4",
+            "--cutoff", cutoff,
+        )
+        assert code == 0
+        report = validate(out)
+        n_modes = len(couplings.split(",")) + 1
+        assert report["n_modes"] == n_modes
+        assert report["state_size"] == math.comb(int(cutoff) + n_modes, n_modes)
+        assert report["passed"] is True
+        assert report["fidelity"] == pytest.approx((1.0 - report["truncation_tail"]) ** 2, abs=1e-12)
+
+    def test_eighty_ancillas(self, run_cli):
+        # C(83, 2) = 3403 states; a mixed-radix int64 index 3^81 would overflow
+        couplings = ",".join(repr(0.5 + k / 80) for k in range(80))
+        code, out = run_cli(
+            "oracle", "--couplings", couplings, "--time", "0.3", "--alpha=0.05,0.02", "--beta=0,0",
+            "--cutoff", "2",
+        )
+        assert code == 0
+        report = validate(out)
+        assert report["state_size"] == 3403
+        assert report["fidelity"] >= 0.999
+        assert report["fidelity"] == pytest.approx((1.0 - report["truncation_tail"]) ** 2, abs=1e-12)
+
+    def test_truncation_tail_reported(self, run_cli):
+        code, out = run_cli("oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=1,0", "--cutoff", "10")
+        assert code == 0
+        report = validate(out)
+        # sum |a|^2 = 1: P(Poisson(1) > 10) = 1.0048e-08
+        assert report["truncation_tail"] == pytest.approx(1.0047766375690929e-08, rel=1e-12)
 
     def test_huge_time_costs_one_turn(self, run_cli):
         # the evolution repeats every 2*pi of R*t, so R*t = 1e6 costs no more

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,14 +7,32 @@ import pytest
 
 from infoclone.errors import InfoCloneError
 from infoclone.fock import (
+    MAX_TAIL,
     FockState,
-    annihilation,
-    coherent_vector,
     evolve,
     fidelity,
     product_state,
+    truncation_tail,
 )
 from infoclone.transform import CouplingConfig, apply_transform, build_transform
+
+
+def coherent_vector(alpha, cutoff):
+    """A single-mode product state: the coherent ladder up to the cutoff."""
+    return product_state([alpha], cutoff)
+
+
+def occupations(n_modes, cutoff):
+    """The basis by brute force: the per-mode grid in row-major order, mode 1
+    slowest, without the occupations whose total exceeds the cutoff."""
+    grid = itertools.product(range(cutoff + 1), repeat=n_modes)
+    return [occ for occ in grid if sum(occ) <= cutoff]
+
+
+def poisson_tail(mean, cutoff):
+    """P(Poisson(mean) > cutoff) as an explicit sum of 400 pmf terms."""
+    terms = (math.exp(n * math.log(mean) - mean - math.lgamma(n + 1)) for n in range(cutoff + 1, cutoff + 401))
+    return math.fsum(terms)
 
 
 class TestCoherentVector:
@@ -34,7 +53,10 @@ class TestCoherentVector:
         assert abs(state.norm() ** 2 - 1.0) <= 1e-12
 
     def test_amplitude_guard(self):
-        with pytest.raises(InfoCloneError, match=re.escape("|alpha|^2 = 9 exceeds cutoff/4 = 1")):
+        # P(Poisson(9) > 4) = 0.945, far above the tail bound
+        with pytest.raises(
+            InfoCloneError, match=re.escape("truncation tail P(Poisson(sum |a|^2) > 4) = 0.945 exceeds 0.00025")
+        ):
             coherent_vector(3.0, 4)
 
     def test_bad_cutoff(self):
@@ -52,7 +74,7 @@ class TestProductState:
         alpha = 0.4 - 0.2j
         state = product_state([alpha, 0.0], 15)
         single = coherent_vector(alpha, 15).amplitudes
-        expected = np.kron(single, np.eye(16)[0].astype(complex))
+        expected = [single[n1] if n2 == 0 else 0.0 for n1, n2 in occupations(2, 15)]
         np.testing.assert_array_equal(state.amplitudes, expected)
 
     def test_two_mode_norm(self):
@@ -60,8 +82,10 @@ class TestProductState:
         assert state.norm() >= 1.0 - 1e-10
 
     def test_size_guard(self):
-        with pytest.raises(InfoCloneError, match=re.escape("(cutoff+1)^n_modes = 1212201 exceeds")):
-            product_state([0.1, 0.1], 1100)
+        # C(203, 3) = 1373701 over budget; two modes at cutoff 1100 now fit
+        with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 1373701 exceeds")):
+            product_state([0.1, 0.1, 0.1], 200)
+        assert product_state([0.1, 0.1], 1100).amplitudes.size == math.comb(1102, 2)
 
     def test_index_order_first_mode_slowest(self):
         # amplitude at (n_1, n_2) = (1, 0) must sit at index 1 * (cutoff+1)
@@ -70,15 +94,48 @@ class TestProductState:
         single = coherent_vector(0.5, cutoff).amplitudes
         assert state.amplitudes[1 * (cutoff + 1)] == single[1]
 
+    def test_matches_loop_reference(self):
+        amps = [0.5 + 0.2j, -0.3j, 0.25, 0.1 - 0.4j]
+        cutoff = 7
+        state = product_state(amps, cutoff)
+        tables = [coherent_vector(a, cutoff).amplitudes for a in amps]
+        expected = [math.prod(t[n] for t, n in zip(tables, occ)) for occ in occupations(len(amps), cutoff)]
+        assert state.amplitudes.size == math.comb(cutoff + len(amps), len(amps))
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-14, atol=0)
 
-class TestOperators:
-    def test_commutator_boundary(self):
-        cutoff = 9
-        a = annihilation(cutoff).toarray()
-        comm = a @ a.T - a.T @ a
-        expected = np.eye(cutoff + 1)
-        expected[-1, -1] = -cutoff
-        np.testing.assert_allclose(comm, expected, atol=1e-12)
+
+class TestTruncationTail:
+    @pytest.mark.parametrize(
+        "mean, cutoff", [(1.0, 10), (12.0, 60), (2.0, 8), (16.0, 25), (9.0, 4), (0.5, 1)]
+    )
+    def test_matches_explicit_sum(self, mean, cutoff):
+        tail = truncation_tail([math.sqrt(mean)], cutoff)
+        assert tail == pytest.approx(poisson_tail(mean, cutoff), rel=1e-13)
+
+    def test_far_tail_is_not_rounded_to_zero(self):
+        # 1 - cdf would read 0 here
+        tail = truncation_tail([2.0, 2.0j, 2.0], 60)
+        assert 1e-24 < tail < 1e-22
+
+    def test_is_the_weight_the_truncation_drops(self):
+        state = product_state([1.0, 0.3 - 0.5j], 8)
+        tail = truncation_tail([1.0, 0.3 - 0.5j], 8)
+        assert tail > 1e-5
+        assert state.norm() ** 2 == pytest.approx(1.0 - tail, abs=1e-15)
+
+    def test_vacuum_and_overflow(self):
+        assert truncation_tail([0.0, 0.0], 3) == 0.0
+        # sum |a|^2 overflows the double range: refused, not an overflow error
+        assert truncation_tail([1e200, 0.0], 5) == 1.0
+        with pytest.raises(InfoCloneError, match="truncation tail"):
+            product_state([1e200, 0.0], 5)
+
+    def test_guard_sits_at_the_bound(self):
+        # P(Poisson(2) > 8) = 2.37e-4 is kept, P(Poisson(2.1) > 8) = 3.4e-4 is not
+        assert truncation_tail([math.sqrt(2.0)], 8) < MAX_TAIL
+        product_state([1.0, 1.0], 8)
+        with pytest.raises(InfoCloneError, match="truncation tail"):
+            product_state([1.0, math.sqrt(1.1)], 8)
 
 
 class TestEvolve:
@@ -107,13 +164,9 @@ class TestEvolve:
         stepped = state
         for _ in range(n_steps):
             stepped = evolve(stepped, CouplingConfig(couplings, angle / norm / n_steps))
-        # exact on the photon-number sectors the cutoff keeps whole; the rest
-        # is the truncation tail
-        n_total = np.indices((cutoff + 1,) * state.n_modes).reshape(state.n_modes, -1).sum(axis=0)
-        whole_sectors = n_total <= cutoff
-        np.testing.assert_allclose(
-            whole.amplitudes[whole_sectors], stepped.amplitudes[whole_sectors], rtol=0, atol=1e-13
-        )
+        # the truncation keeps whole sectors only, so the period holds on
+        # every amplitude
+        np.testing.assert_allclose(whole.amplitudes, stepped.amplitudes, rtol=0, atol=1e-13)
         assert fidelity(whole, stepped) == pytest.approx(fidelity(stepped, stepped), abs=1e-12)
 
     def test_quarter_turn_single_ancilla(self):
@@ -156,6 +209,23 @@ class TestEvolve:
             predicted = product_state(apply_transform(build_transform(cfg), amps), 12)
             assert fidelity(evolved, predicted) >= 0.999
 
+    def test_fidelity_is_truncated_weight_squared(self):
+        # each kept sector evolves exactly and the transform keeps sum |a|^2,
+        # so the evolved state is the truncated prediction: F = (1 - tau)^2
+        rng = np.random.default_rng(24)
+        tails = []
+        for n_ancillas in (1, 2, 3, 4, 1, 2, 3, 4):
+            cfg = CouplingConfig(rng.uniform(-1.5, 1.5, size=n_ancillas), float(rng.uniform(-3.0, 3.0)))
+            amps = [complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(n_ancillas + 1)]
+            # the smallest cutoff that keeps the tail at or below 1e-6
+            cutoff = next(k for k in itertools.count(1) if truncation_tail(amps, k) <= 1e-6)
+            tail = truncation_tail(amps, cutoff)
+            evolved = evolve(product_state(amps, cutoff), cfg)
+            predicted = product_state(apply_transform(build_transform(cfg), amps), cutoff)
+            assert abs(fidelity(evolved, predicted) - (1.0 - tail) ** 2) <= 1e-12
+            tails.append(tail)
+        assert max(tails) > 1e-8
+
 
 class TestFidelity:
     def test_self_fidelity(self):
@@ -187,8 +257,8 @@ class TestFidelity:
 
 class TestFockState:
     def test_size_guard(self):
-        with pytest.raises(InfoCloneError, match=re.escape("(cutoff+1)^n_modes = 104060401 exceeds")):
-            FockState(n_modes=4, cutoff=100, amplitudes=np.zeros(101**4, dtype=complex))
+        with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 4598126 exceeds")):
+            FockState(n_modes=4, cutoff=100, amplitudes=np.zeros(0, dtype=complex))
 
     def test_length_check(self):
         with pytest.raises(InfoCloneError, match=re.escape("expected 4 amplitudes for 1 modes at cutoff 3")):
