@@ -15,8 +15,8 @@ For even N both quadratures give 1/sqrt(2) for the optimal choice (for any
 number of clones), 1 for the offset choice, and (1/sqrt(2))/(1-epsilon) for
 the near-optimal choice. For odd N the position quadrature, measured on the
 larger group, is the tighter one. A campaign draws each trial's two group
-averages, not the clones behind them; :mod:`infoclone.measurement` samples
-each clone, for reference.
+averages, not the clones behind them; :mod:`infoclone.measurement` draws
+every clone of every trial, for reference.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def run_trials(
     i draws its group averages y and z directly, from standard normals 2i and
     2i+1 of the Philox stream of SeedSequence(seed); the cost does not depend
     on N. The summary is reproducible bit for bit, and a longer campaign with
-    the same seed starts with the same trials.
+    the same seed starts with the same trials. A campaign whose mean or std
+    overflows a double is refused with an InfoCloneError.
     """
     true_alpha = require_finite_complex(true_alpha, "true_alpha")
     m = int(n_trials)
@@ -107,17 +108,26 @@ def run_trials(
     n_position, n_momentum = group_sizes(strategy.n_copies)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     xi = rng.standard_normal((m, 2))
-    y = _SQRT2 * gamma.real + xi[:, 0] / math.sqrt(2.0 * n_position)
-    z = _SQRT2 * gamma.imag + xi[:, 1] / math.sqrt(2.0 * n_momentum)
-    estimates = estimate_alpha(y, z, strategy)
+    with np.errstate(all="ignore"):
+        y = _SQRT2 * gamma.real + xi[:, 0] / math.sqrt(2.0 * n_position)
+        z = _SQRT2 * gamma.imag + xi[:, 1] / math.sqrt(2.0 * n_momentum)
+        estimates = estimate_alpha(y, z, strategy)
+        mean = complex(estimates.mean())
+        std_re = float(estimates.real.std(ddof=1))
+        std_im = float(estimates.imag.std(ddof=1))
+    if not all(map(math.isfinite, (mean.real, mean.imag, std_re, std_im))):
+        raise InfoCloneError(
+            f"alpha = {true_alpha!r} with beta = {strategy.beta!r} overflows a double: "
+            "the campaign's mean or std is not finite"
+        )
     theory_std_re, theory_std_im = theoretical_std(strategy)
     return EstimateSummary(
         strategy=strategy,
         true_alpha=true_alpha,
         n_trials=m,
-        mean_estimate=complex(estimates.mean()),
-        std_re=float(estimates.real.std(ddof=1)),
-        std_im=float(estimates.imag.std(ddof=1)),
+        mean_estimate=mean,
+        std_re=std_re,
+        std_im=std_im,
         theory_std_re=theory_std_re,
         theory_std_im=theory_std_im,
         seed=seed,

@@ -19,6 +19,7 @@ from infoclone import (
     run_trials,
 )
 from infoclone.cli import main
+from infoclone.estimation import clone_amplitude, estimate_alpha
 from infoclone.measurement import measure_clones
 
 ALPHA = "1.5,-0.5"
@@ -186,12 +187,33 @@ def test_statistical_criteria_on_several_seeds(seed):
         assert abs(ratio / expected_ratio - 1.0) <= 0.03
 
 
+# Criteria 2 and 5 with their tolerances, on the per-clone reference. The
+# CLI's sweep rows share draws, so there the ratios are exact by
+# construction; here every campaign has its own seed, fixed in advance.
+def test_copy_and_epsilon_dependence_on_independent_draws():
+    trials = 20000
+
+    def spread(seed, *strategy, **options):
+        spec = StrategySpec(*strategy, **options)
+        gamma = clone_amplitude(spec, ALPHA_C)
+        estimates = estimate_alpha(*measure_clones(gamma, spec.n_copies, trials, seed), spec)
+        return np.array([estimates.real.std(ddof=1), estimates.imag.std(ddof=1)])
+
+    optimal = np.array([spread(611 + i, "optimal", n) for i, n in enumerate((10, 100, 1000))])
+    assert np.all(optimal.max(axis=0) / optimal.min(axis=0) <= 1.03), optimal
+    near = {
+        eps: spread(seed, "near-optimal", 100, epsilon=eps, beta=50.0)
+        for eps, seed in ((0.05, 614), (0.2, 615))
+    }
+    expected_ratio = (1.0 - 0.05) / (1.0 - 0.2)
+    ratio = near[0.2] / near[0.05]
+    assert np.all(np.abs(ratio / expected_ratio - 1.0) <= 0.03), ratio
+
+
 def test_criterion_6_group_average_distribution(acceptance):
     n, trials = 100, 100000
     gamma = ALPHA_C / math.sqrt(n)
-    ys = np.array(
-        [measure_clones(gamma, n, seed=606, trial_index=i)[0] for i in range(trials)]
-    )
+    ys, _ = measure_clones(gamma, n, trials, seed=606)
     expected_mean = math.sqrt(2.0 / n) * ALPHA_C.real
     se = (1.0 / math.sqrt(n)) / math.sqrt(trials)
     mean_ok = abs(ys.mean() - expected_mean) <= 3.0 * se

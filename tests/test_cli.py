@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -278,6 +280,14 @@ class TestEstimateCommand:
         assert code == 2
         assert "OverflowError" in capsys.readouterr().err
 
+    def test_overflowing_campaign_names_the_input(self, run_cli, capsys):
+        # the estimates are finite, but their sum overflows a double
+        code, _ = run_cli("estimate", "--n-copies", "2", "--trials", "3", "--alpha=1e308,0")
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: InfoCloneError: alpha = (1e+308+0j) with beta = 0j")
+        assert "overflows a double" in line
+
     def test_zero_trials(self, run_cli):
         code, _ = run_cli("estimate", "--trials", "0")
         assert code == 2
@@ -507,6 +517,8 @@ def test_row_columns_agree():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "report.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "infoclone", "transform",
@@ -514,6 +526,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["command"] == "transform"
