@@ -10,7 +10,6 @@ drives reproducible, machine-readable experiments.
 
 from .errors import InfoCloneError
 from .estimation import EstimateSummary, run_trials
-from .fock import evolve, fidelity, product_state
 from .transform import (
     CouplingConfig,
     StrategyKind,
@@ -21,6 +20,18 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+
+# infoclone.fock imports scipy; it loads on the first use of one of these names
+_FOCK_NAMES = ("evolve", "fidelity", "product_state")
+
+
+def __getattr__(name: str):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CouplingConfig",

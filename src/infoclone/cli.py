@@ -25,7 +25,6 @@ import sys
 
 from .errors import InfoCloneError, require_seed
 from .estimation import EstimateSummary, run_trials
-from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, truncation_tail
 from .transform import (
     CouplingConfig,
     StrategyKind,
@@ -35,7 +34,7 @@ from .transform import (
     orthogonality_residual,
 )
 
-__all__ = ["DEFAULT_SEED", "FIDELITY_THRESHOLD", "main", "console_main"]
+__all__ = ["DEFAULT_SEED", "main", "console_main"]
 
 DEFAULT_SEED = 12345
 
@@ -288,6 +287,9 @@ def cmd_transform(cfg: dict) -> tuple[int, dict]:
 
 
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
+    # fock imports scipy, which costs more than the campaigns; only oracle pays for it
+    from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, truncation_tail
+
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     n_ancillas = len(config.couplings)
     cutoff = cfg["cutoff"]

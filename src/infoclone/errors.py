@@ -28,10 +28,15 @@ def require_finite_complex(value, name: str = "value") -> complex:
     return z
 
 
-def require_seed(value, name: str = "seed") -> int:
+def require_integer(value, name: str) -> int:
+    """int(value) for an integer, numpy integers included; a float is refused, not truncated."""
     if not isinstance(value, numbers.Integral):
         raise InfoCloneError(f"{name} must be an integer, got {value!r}")
-    s = int(value)
+    return int(value)
+
+
+def require_seed(value, name: str = "seed") -> int:
+    s = require_integer(value, name)
     if not 0 <= s < 2**64:
         raise InfoCloneError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return s

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfoCloneError, require_finite_complex, require_seed
+from .errors import InfoCloneError, require_finite_complex, require_integer, require_seed
 from .measurement import group_sizes
 from .transform import StrategySpec
 
@@ -100,7 +100,7 @@ def run_trials(
     overflows a double is refused with an InfoCloneError.
     """
     true_alpha = require_finite_complex(true_alpha, "true_alpha")
-    m = int(n_trials)
+    m = require_integer(n_trials, "n_trials")
     if m < 2:
         raise InfoCloneError(f"n_trials must be >= 2, got {n_trials!r}")
     seed = require_seed(seed)

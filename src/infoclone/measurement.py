@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import InfoCloneError, require_finite_complex, require_seed
+from .errors import InfoCloneError, require_finite_complex, require_integer, require_seed
 
 __all__ = ["QUADRATURE_STD", "group_sizes", "measure_clones"]
 
@@ -30,7 +30,7 @@ _SQRT2 = math.sqrt(2.0)
 
 def group_sizes(n_copies: int) -> tuple[int, int]:
     """(n_position, n_momentum) = (ceil(N/2), floor(N/2)) for N clones."""
-    n = int(n_copies)
+    n = require_integer(n_copies, "n_copies")
     if n < 2:
         raise InfoCloneError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
     return (n + 1) // 2, n // 2
@@ -51,7 +51,7 @@ def measure_clones(
     """
     gamma = require_finite_complex(gamma, "gamma")
     n_position, n_momentum = group_sizes(n_copies)
-    m = int(n_trials)
+    m = require_integer(n_trials, "n_trials")
     if m < 1:
         raise InfoCloneError(f"n_trials must be >= 1, got {n_trials!r}")
     seed = require_seed(seed)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfoCloneError, require_finite_complex, require_finite_real
+from .errors import InfoCloneError, require_finite_complex, require_finite_real, require_integer
 
 __all__ = [
     "CouplingConfig",
@@ -149,7 +149,7 @@ class StrategySpec:
             names = ", ".join(k.value for k in StrategyKind)
             raise InfoCloneError(f"unknown strategy {self.kind!r}, expected one of: {names}") from None
         object.__setattr__(self, "kind", kind)
-        n = int(self.n_copies)
+        n = require_integer(self.n_copies, "n_copies")
         if n < 2:
             raise InfoCloneError(f"n_copies must be >= 2, got {self.n_copies!r}")
         object.__setattr__(self, "n_copies", n)

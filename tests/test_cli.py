@@ -515,21 +515,74 @@ def test_row_columns_agree():
     assert row_schema["required"] == columns
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "report.json"
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports infoclone from this tree's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "infoclone", "transform",
-            "--couplings", "1", "--time", "0", "--out", str(out),
-        ],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "report.json"
+    proc = _fresh_python("-m", "infoclone", "transform", "--couplings", "1", "--time", "0", "--out", str(out))
     assert proc.returncode == 0
     assert json.loads(out.read_text())["command"] == "transform"
+
+
+# Prints, as one JSON object, the scipy and infoclone.fock modules loaded
+# after each step; the other checks raise in the child.
+_IMPORT_BOUNDARY = """
+import json, os, sys
+
+def fock_modules():
+    return [n for n in sys.modules if n == "infoclone.fock" or n.split(".")[0] == "scipy"]
+
+loaded = {}
+import infoclone
+loaded["import infoclone"] = fock_modules()
+import infoclone.cli
+loaded["import infoclone.cli"] = fock_modules()
+for argv in (
+    ["transform", "--couplings", "1,1", "--time", "0.5"],
+    ["estimate", "--trials", "20"],
+    ["sweep", "--grid-axis", "n-copies", "--grid-values", "2,3", "--trials", "20"],
+):
+    assert infoclone.cli.main([*argv, "--out", os.devnull]) == 0, argv
+    loaded[argv[0]] = fock_modules()
+try:
+    infoclone.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("infoclone.no_such_name did not raise")
+loaded["infoclone.no_such_name"] = fock_modules()
+argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha", "0.3,0", "--cutoff", "10", "--out", os.devnull]
+assert infoclone.cli.main(argv) == 0
+loaded["oracle"] = fock_modules()
+assert infoclone.evolve is infoclone.fock.evolve
+assert infoclone.fidelity is infoclone.fock.fidelity
+assert infoclone.product_state is infoclone.fock.product_state
+print(json.dumps(loaded))
+"""
+
+
+def test_only_oracle_imports_scipy():
+    proc = _fresh_python("-c", _IMPORT_BOUNDARY)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    oracle = loaded.pop("oracle")
+    assert loaded == {
+        step: []
+        for step in (
+            "import infoclone", "import infoclone.cli", "transform", "estimate", "sweep", "infoclone.no_such_name",
+        )
+    }
+    assert "infoclone.fock" in oracle and "scipy" in oracle
 
 
 def test_usage_error_exit_code():

@@ -140,6 +140,15 @@ class TestRunTrials:
             with pytest.raises(InfoCloneError, match=f"n_trials must be >= 2, got {m}"):
                 run_trials(strategy, 0.1, m, seed=3)
 
+    def test_trial_count_must_be_an_integer(self):
+        strategy = StrategySpec("optimal", 4)
+        for m in (2.9, 3.0, "3"):
+            with pytest.raises(InfoCloneError, match=f"n_trials must be an integer, got {m!r}"):
+                run_trials(strategy, 0.1, m, seed=1)
+        summary = run_trials(strategy, 0.1, np.int64(3), seed=1)
+        assert type(summary.n_trials) is int
+        assert summary == run_trials(strategy, 0.1, 3, seed=1)
+
     def test_deterministic(self):
         strategy = StrategySpec("near-optimal", 20, epsilon=0.2, beta=4.0)
         a = run_trials(strategy, 1.0 - 2.0j, 500, seed=99)

@@ -45,6 +45,11 @@ class TestGroupSizes:
             assert n_momentum == n // 2
             assert n_position + n_momentum == n
 
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(InfoCloneError, match="n_copies must be an integer, got 5.0"):
+            group_sizes(5.0)
+        assert group_sizes(np.int64(5)) == (3, 2)
+
 
 class TestMeasureClones:
     def test_two_clones_single_draw_per_group(self):
@@ -80,6 +85,15 @@ class TestMeasureClones:
                 measure_clones(0.1, 4, m, seed=5)
         y, z = measure_clones(0.1, 4, 1, seed=5)
         assert y.shape == z.shape == (1,)
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(InfoCloneError, match="n_trials must be an integer, got 1.7"):
+            measure_clones(0.1, 4, 1.7, seed=1)
+        with pytest.raises(InfoCloneError, match="n_copies must be an integer, got 4.5"):
+            measure_clones(0.1, 4.5, 2, seed=1)
+        y, z = measure_clones(0.1, np.int64(4), np.int32(2), seed=1)
+        y_ref, z_ref = measure_clones(0.1, 4, 2, seed=1)
+        assert np.all(y == y_ref) and np.all(z == z_ref)
 
     def test_rejects_non_finite_gamma(self):
         with pytest.raises(InfoCloneError, match="gamma must have finite real and imaginary parts"):

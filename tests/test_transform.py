@@ -278,6 +278,13 @@ class TestMakeStrategy:
         with pytest.raises(InfoCloneError, match="n_copies must be >= 2, got 1"):
             StrategySpec("optimal", 1)
 
+    def test_n_copies_must_be_an_integer(self):
+        with pytest.raises(InfoCloneError, match="n_copies must be an integer, got 2.9"):
+            StrategySpec("optimal", 2.9)
+        spec = StrategySpec("offset", np.int64(4), beta=1.0)
+        assert type(spec.n_copies) is int
+        assert spec == StrategySpec("offset", 4, beta=1.0)
+
     def test_unknown_kind(self):
         expected = "unknown strategy 'pessimal', expected one of: optimal, offset, near-optimal"
         with pytest.raises(InfoCloneError, match=re.escape(expected)):
