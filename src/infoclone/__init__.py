@@ -21,7 +21,7 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-# infoclone.fock imports scipy; it loads on the first use of one of these names
+# infoclone.fock loads on the first use of one of these names, so the campaigns skip it
 _FOCK_NAMES = ("evolve", "fidelity", "product_state")
 
 

@@ -287,7 +287,7 @@ def cmd_transform(cfg: dict) -> tuple[int, dict]:
 
 
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
-    # fock imports scipy, which costs more than the campaigns; only oracle pays for it
+    # imported here so that the campaigns, which never use it, skip its import
     from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, truncation_tail
 
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))

@@ -20,6 +20,11 @@ input, tau = P(Poisson(sum_j |a_j|^2) > cutoff). The transform is
 orthogonal and keeps sum_j |a_j|^2, so the predicted product state loses the
 same weight, and when the transform is right the evolved state is exactly
 the truncated prediction: fidelity(evolved, predicted) = (1 - tau)^2.
+
+The exponential is a Chebyshev-Bessel series in the generator (Tal-Ezer &
+Kosloff 1984), in numpy alone, of about |R*t| * cutoff terms (see
+:func:`evolve`). Its error, about 1e-15 in norm, shows only in the last
+digits of evolved norms and fidelities.
 """
 
 from __future__ import annotations
@@ -29,10 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
-from .errors import InfoCloneError, require_finite_complex
+from .errors import InfoCloneError, require_finite_complex, require_integer
 from .transform import CouplingConfig
 
 __all__ = [
@@ -57,7 +60,7 @@ def _state_size(n_modes: int, cutoff: int) -> int:
     """C(cutoff+n_modes, n_modes), checked against the amplitude budget."""
     if n_modes < 1:
         raise InfoCloneError(f"n_modes must be >= 1, got {n_modes!r}")
-    if cutoff < 1:
+    if require_integer(cutoff, "cutoff") < 1:
         raise InfoCloneError(f"cutoff must be >= 1, got {cutoff!r}")
     size = math.comb(cutoff + n_modes, n_modes)
     if size > MAX_AMPLITUDES:
@@ -104,29 +107,13 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
     return basis
 
 
-def _rank(occupations: np.ndarray, cutoff: int) -> np.ndarray:
-    """Index of each occupation row in the basis order (stars and bars).
-
-    Mode i, with room R left by the modes before it and s modes from it on,
-    adds the C(R+s, s) - C(R-n_i+s, s) occupations whose mode i holds fewer
-    photons. Every count is at most the state size, so nothing overflows.
-    """
-    n_modes = occupations.shape[1]
-    # fits[R, s] = C(R+s, s), the occupations of s modes with total <= R
-    fits = np.ones((cutoff + 1, n_modes + 1), dtype=np.int64)
-    for s in range(1, n_modes + 1):
-        fits[:, s] = np.cumsum(fits[:, s - 1])
-    room = cutoff - np.cumsum(occupations, axis=1) + occupations
-    modes_left = np.arange(n_modes, 0, -1)
-    return (fits[room, modes_left] - fits[room - occupations, modes_left]).sum(axis=1)
-
-
 def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
     """P(Poisson(sum_j |a_j|^2) > cutoff): the weight the truncation drops.
 
     The upper tail is summed directly, so it stays accurate far below the
     1e-16 at which 1 - cdf bottoms out.
     """
+    cutoff = require_integer(cutoff, "cutoff")
     radius = math.hypot(*(x for a in amplitudes for x in (a.real, a.imag)))
     mean = radius * radius  # inf, not OverflowError, past the double range
     if mean == 0.0:
@@ -174,15 +161,53 @@ def product_state(amplitudes: Sequence[complex], cutoff: int) -> FockState:
     return FockState(n_modes=amps.size, cutoff=cutoff, amplitudes=vec)
 
 
+def _bessel_coefficients(rho: float) -> np.ndarray:
+    """J_0(rho), J_1(rho), ... up to the first k > rho with |J_k| < 1e-17.
+
+    Miller's backward recurrence, rescaled at every step: it is carried as
+    the ratios J_k / J_{k-1} = rho / (2k - rho J_{k+1} / J_k), which never
+    divide by rho, so a tiny rho cannot overflow and rho = 0 gives exactly
+    (1, 0, ...). It starts
+    27 (rho/2)^(1/3) + 30 orders past rho, where J_start < 1e-45 for every
+    rho up to 3200, and is normalised by J_0 + 2 sum_k J_2k = 1.
+    """
+    start = math.ceil(rho + 27.0 * (rho / 2.0) ** (1.0 / 3.0)) + 30
+    ratios = np.ones(start + 1)
+    ratio = 0.0
+    for k in range(start, 0, -1):
+        ratio = rho / (2.0 * k - rho * ratio)
+        ratios[k] = ratio
+    scaled = np.cumprod(ratios)  # J_k / J_0
+    coeffs = scaled / (1.0 + 2.0 * scaled[2::2].sum())
+    (small,) = np.nonzero((np.arange(start + 1) > rho) & (np.abs(coeffs) < 1e-17))
+    return coeffs[: small[0]]
+
+
+def _add_generator(out: np.ndarray, x: np.ndarray, offset: int, moves) -> None:
+    """out += G x for the generator G given as per-ancilla moves.
+
+    The move of ancilla j sends row source[i] to row offset + i with weight
+    weight[i]. Its negative transpose is a gather too, not a scatter: row r
+    reads row partner[r] with weight back[r], zero where n_j = 0.
+    """
+    for source, weight, partner, back in moves:
+        out[offset:] += weight * x[source]
+        out += back * x[partner]
+
+
 def evolve(state: FockState, config: CouplingConfig) -> FockState:
     """Evolve under the exchange coupling between the held mode and the ancillas.
 
-    The generator is t * (a_held^T B - a_held B^T) with B = sum_j r_j a_j over
-    the ancilla modes. Its a_held^T a_j term moves one photon from ancilla j
-    to the held mode, (n_held, n_j) -> (n_held + 1, n_j - 1), with weight
-    sqrt((n_held + 1) n_j); the other term is its negative transpose. Moves
-    keep the total, so the generator is exact on the truncated basis and
-    antisymmetric, and the evolution is orthogonal there.
+    The generator is A = t * (a_held^T B - a_held B^T) with B = sum_j r_j a_j
+    over the ancilla modes. Its a_held^T a_j term moves one photon from
+    ancilla j to the held mode, (n_held, n_j) -> (n_held + 1, n_j - 1), with
+    weight sqrt((n_held + 1) n_j); the other term is its negative transpose.
+    Moves keep the total, so the generator is exact on the truncated basis
+    and antisymmetric, and the evolution is orthogonal there. The move of
+    ancilla j maps the rows with n_j >= 1, in basis order, one to one onto
+    the rows with n_held >= 1, which are the last C(cutoff-1+m, m) rows, so
+    A is applied by slicing and two gathers per ancilla, without a sparse
+    matrix.
 
     On each sector its eigenvalues are i*k with integer k, so the evolution
     has period 2*pi in R*t. An angle |R*t| > pi is therefore reduced to
@@ -190,6 +215,17 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     angle is atan2(sin(R*t), cos(R*t)), so it agrees with the cos and sin
     that :func:`~infoclone.transform.build_transform` uses; a remainder by
     the float 2*pi would drift by about 4e-17 rad per radian.
+
+    exp(A) v is the Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984)
+    J_0(rho) v + 2 sum_k J_k(rho) chi_k, with chi_0 = v, chi_1 = A v / rho
+    and chi_{k+1} = (2/rho) A chi_k + chi_{k-1}. The coefficients are real
+    because A is real antisymmetric. rho is the largest absolute row sum of
+    A, a Gershgorin bound on its spectral radius; A is normal, so its norm
+    is at most rho and |chi_k| <= |v|. The series stops at the first
+    k > rho with |J_k| < 1e-17, which leaves a truncation error near
+    1e-17 |v|; the rounding of the recurrence dominates. On the cutoff-60
+    oracle check the evolved state differs from the exact truncated
+    prediction by about 1e-15 in norm.
     """
     n_modes, cutoff = state.n_modes, state.cutoff
     if len(config.couplings) + 1 != n_modes:
@@ -197,27 +233,43 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
             f"config has {len(config.couplings)} couplings but the state has "
             f"{n_modes} modes (need couplings + 1)"
         )
-    time, angle = config.time, config.angle
+    angle = config.angle
     if abs(angle) > math.pi:
-        time = math.atan2(math.sin(angle), math.cos(angle)) / config.norm
+        angle = math.atan2(math.sin(angle), math.cos(angle))
     basis = _basis(n_modes, cutoff)
-    rows, cols, data = [], [], []
+    size = len(basis)
+    offset = size - math.comb(cutoff - 1 + n_modes, n_modes)
+    moves, row_sums = [], np.zeros(size)
     for j, r in enumerate(config.couplings, start=1):
         (source,) = np.nonzero(basis[:, j])
-        moved = basis[source]
-        weight = time * r * np.sqrt((moved[:, 0] + 1.0) * moved[:, j])
-        moved[:, 0] += 1
-        moved[:, j] -= 1
-        target = _rank(moved, cutoff)
-        # the a_held^T a_j move and its negative transpose
-        rows += [target, source]
-        cols += [source, target]
-        data += [weight, -weight]
-    size = len(basis)
-    generator = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
-    ).tocsc()
-    evolved = expm_multiply(generator, state.amplitudes, traceA=0.0)
+        # weights of A / (R*t), whose bound stays near the cutoff however
+        # small the couplings are
+        weight = r / config.norm * np.sqrt((basis[source, 0] + 1.0) * basis[source, j])
+        partner = np.zeros(size, dtype=np.intp)
+        partner[source] = np.arange(offset, size)
+        back = np.zeros(size)
+        back[source] = -weight
+        row_sums[offset:] += np.abs(weight)
+        row_sums += np.abs(back)
+        moves.append((source, weight, partner, back))
+    bound = row_sums.max()  # of A / (R*t)
+    coeffs = _bessel_coefficients(abs(angle) * bound)
+    # 2 A / rho, the operator of the recurrence; complex weights multiply the
+    # complex amplitudes without a cast
+    scale = complex(math.copysign(2.0 / bound, angle))
+    moves = [(source, weight * scale, partner, back * scale) for source, weight, partner, back in moves]
+    v = state.amplitudes
+    evolved = coeffs[0] * v
+    # two buffers, ping-ponged: chi_{k+1} overwrites chi_{k-1}
+    prev, cur = v.copy(), np.zeros_like(v)
+    for k, c in enumerate(coeffs[1:], start=1):
+        if k == 1:
+            _add_generator(cur, v, offset, moves)
+            cur *= 0.5
+        else:
+            _add_generator(prev, cur, offset, moves)
+            prev, cur = cur, prev
+        evolved += (2.0 * c) * cur
     return FockState(n_modes=n_modes, cutoff=cutoff, amplitudes=evolved)
 
 

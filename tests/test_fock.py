@@ -1,14 +1,19 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import jv
 
 from infoclone.errors import InfoCloneError
 from infoclone.fock import (
     MAX_TAIL,
     FockState,
+    _basis,
+    _bessel_coefficients,
     evolve,
     fidelity,
     product_state,
@@ -27,6 +32,24 @@ def occupations(n_modes, cutoff):
     slowest, without the occupations whose total exceeds the cutoff."""
     grid = itertools.product(range(cutoff + 1), repeat=n_modes)
     return [occ for occ in grid if sum(occ) <= cutoff]
+
+
+def dense_generator(couplings, time, cutoff):
+    """The exchange generator as a dense matrix, one photon move at a time,
+    on the brute-force basis with a dict index."""
+    rows = occupations(len(couplings) + 1, cutoff)
+    index = {occ: i for i, occ in enumerate(rows)}
+    gen = np.zeros((len(rows), len(rows)))
+    for i, occ in enumerate(rows):
+        for j, r in enumerate(couplings, start=1):
+            if occ[j]:
+                moved = list(occ)
+                moved[0] += 1
+                moved[j] -= 1
+                weight = time * r * math.sqrt((occ[0] + 1) * occ[j])
+                gen[index[tuple(moved)], i] += weight
+                gen[i, index[tuple(moved)]] -= weight
+    return gen
 
 
 def poisson_tail(mean, cutoff):
@@ -62,6 +85,18 @@ class TestCoherentVector:
     def test_bad_cutoff(self):
         with pytest.raises(InfoCloneError, match="cutoff must be >= 1, got 0"):
             coherent_vector(0.1, 0)
+
+    @pytest.mark.parametrize("cutoff", [3.0, 2.5, "3"])
+    def test_cutoff_must_be_an_integer(self, cutoff):
+        with pytest.raises(InfoCloneError, match=re.escape(f"cutoff must be an integer, got {cutoff!r}")):
+            product_state([0.1, 0.2], cutoff)
+        with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
+            FockState(n_modes=1, cutoff=cutoff, amplitudes=np.zeros(4, dtype=complex))
+        with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
+            truncation_tail([1.0], cutoff)
+        np.testing.assert_array_equal(
+            product_state([0.1, 0.2], np.int64(3)).amplitudes, product_state([0.1, 0.2], 3).amplitudes
+        )
 
 
 class TestProductState:
@@ -138,7 +173,73 @@ class TestTruncationTail:
             product_state([1.0, math.sqrt(1.1)], 8)
 
 
+class TestBasis:
+    @pytest.mark.parametrize("n_modes, cutoff", [(2, 1), (2, 9), (3, 6), (4, 5), (5, 3), (7, 2)])
+    def test_moves_land_on_the_suffix(self, n_modes, cutoff):
+        # the move (n_held, n_j) -> (n_held + 1, n_j - 1) sends the rows with
+        # n_j >= 1, in basis order, onto the last C(cutoff-1+m, m) rows
+        basis = _basis(n_modes, cutoff)
+        assert [tuple(row) for row in basis] == occupations(n_modes, cutoff)
+        index = {tuple(row): i for i, row in enumerate(basis)}
+        offset = len(basis) - math.comb(cutoff - 1 + n_modes, n_modes)
+        assert all(row[0] >= 1 for row in basis[offset:]) and all(row[0] == 0 for row in basis[:offset])
+        for j in range(1, n_modes):
+            images = []
+            for row in basis[basis[:, j] >= 1]:
+                moved = list(row)
+                moved[0] += 1
+                moved[j] -= 1
+                images.append(index[tuple(moved)])
+            assert images == list(range(offset, len(basis)))
+
+
+class TestBesselCoefficients:
+    @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.5, 47.0, 1000.0, 3200.0])
+    def test_match_scipy(self, rho):
+        coeffs = _bessel_coefficients(rho)
+        n = len(coeffs)
+        assert n > rho
+        # the series stops where the rest is below 1e-17
+        assert abs(jv(n, rho)) < 1e-17
+        # jv's own error grows with rho (4e-14 at 3200 against a 40-digit
+        # reference, which these coefficients match to 1e-16)
+        np.testing.assert_allclose(coeffs, jv(np.arange(n), rho), rtol=0, atol=2e-16 * max(1.0, rho))
+
+
 class TestEvolve:
+    @pytest.mark.parametrize(
+        "couplings, angle, cutoff",
+        [
+            ([1.3], math.pi - 1e-9, 20),
+            ([1.3], -(math.pi - 1e-3), 20),
+            ([0.8, -0.6], -(math.pi - 0.05), 10),
+            ([0.8, -0.6], 2.1, 10),
+            ([0.5, 1.1, -0.7], math.pi - 1e-6, 6),
+            ([0.5, 1.1, -0.7], -0.4, 6),
+        ],
+    )
+    def test_matches_dense_exponential(self, couplings, angle, cutoff):
+        # a random complex vector, not a product state, against expm of the
+        # generator built move by move
+        rng = np.random.default_rng(31)
+        time = angle / math.hypot(*couplings)
+        size = math.comb(cutoff + len(couplings) + 1, len(couplings) + 1)
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        state = FockState(len(couplings) + 1, cutoff, vec / np.linalg.norm(vec))
+        out = evolve(state, CouplingConfig(couplings, time))
+        expected = expm(dense_generator(couplings, time, cutoff)) @ state.amplitudes
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "couplings, time", [([1.0, 0.4], 0.0), ([1.0, 0.4], 1e-300), ([1.0, 0.4], -1e-300), ([2.2e-311, 0.0], 1.0)]
+    )
+    def test_vanishing_angle_returns_the_input(self, couplings, time):
+        state = product_state([0.5 + 0.2j, -0.3j, 0.1], 15)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            out = evolve(state, CouplingConfig(couplings, time))
+        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+
     def test_vacuum_is_fixed(self):
         cfg = CouplingConfig([0.7, -1.1], 1.3)
         vac = product_state([0.0, 0.0, 0.0], 8)
