@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-import secrets
+import os
 import sys
 
 from .errors import InfoCloneError, require_seed
@@ -93,7 +93,10 @@ def _flag_text(action: argparse.Action, value) -> str:
 def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
     """The ``--flag=value`` tokens that the config file of ``args`` stands for."""
     with open(args.config, "r", encoding="utf-8") as fh:
-        settings = json.load(fh)
+        try:
+            settings = json.load(fh)
+        except RecursionError:
+            raise InfoCloneError(f"config file {args.config!r} is nested too deeply to read") from None
     if not isinstance(settings, dict):
         raise InfoCloneError("config file must contain a JSON object")
     command = settings.pop("command", args.command)
@@ -138,7 +141,7 @@ def resolve_config(argv: list[str] | None = None) -> dict:
         # argparse keeps the last value it sees, so the flags after the file win
         args = _parse(parser, [args.command, *_config_tokens(parser, args), *argv[1:]])
     if args.randomize:
-        args.seed = secrets.randbits(64)
+        args.seed = int.from_bytes(os.urandom(8), "little")
     args.seed = require_seed(args.seed)
     return vars(args)
 
@@ -159,17 +162,9 @@ def _is_scalar(value) -> bool:
 
 
 def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unsupported report value {value!r}")
+    # json.dumps gives null, true, false, ints and strings, and raises
+    # TypeError on any other type
+    return format_float(value) if isinstance(value, float) else json.dumps(value)
 
 
 def _json_value(value, indent: int | None = None) -> str:

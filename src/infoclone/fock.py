@@ -22,13 +22,14 @@ same weight, and when the transform is right the evolved state is exactly
 the truncated prediction: fidelity(evolved, predicted) = (1 - tau)^2.
 
 The exponential is a Chebyshev-Bessel series in the generator (Tal-Ezer &
-Kosloff 1984), in numpy alone, of about |R*t| * cutoff terms (see
-:func:`evolve`). Its error, about 1e-15 in norm, shows only in the last
-digits of evolved norms and fidelities.
+Kosloff 1984), in numpy alone, of about rho = |R*t| * cutoff terms, the
+generator's exact norm (see :func:`evolve`). Its error, about 1e-15 in norm,
+shows only in the last digits of evolved norms and fidelities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,6 +93,9 @@ class FockState:
         return float(np.linalg.norm(self.amplitudes))
 
 
+# An oracle run asks for one basis three times. typed=True: a float cutoff is
+# checked, not served the int cutoff's array. Callers share it: read-only.
+@functools.lru_cache(maxsize=1, typed=True)
 def _basis(n_modes: int, cutoff: int) -> np.ndarray:
     """Every occupation with total <= cutoff, one per row, in basis order."""
     _state_size(n_modes, cutoff)
@@ -104,6 +108,7 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
         n = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
         basis = np.column_stack([basis[rows], n])
         room = room[rows] - n
+    basis.flags.writeable = False
     return basis
 
 
@@ -167,9 +172,9 @@ def _bessel_coefficients(rho: float) -> np.ndarray:
     Miller's backward recurrence, rescaled at every step: it is carried as
     the ratios J_k / J_{k-1} = rho / (2k - rho J_{k+1} / J_k), which never
     divide by rho, so a tiny rho cannot overflow and rho = 0 gives exactly
-    (1, 0, ...). It starts
-    27 (rho/2)^(1/3) + 30 orders past rho, where J_start < 1e-45 for every
-    rho up to 3200, and is normalised by J_0 + 2 sum_k J_2k = 1.
+    (1, 0, ...). It starts 27 (rho/2)^(1/3) + 30 orders past rho, where
+    J_start < 1e-45 for every rho up to pi * 1412 (the largest the amplitude
+    budget admits), and is normalised by J_0 + 2 sum_k J_2k = 1.
     """
     start = math.ceil(rho + 27.0 * (rho / 2.0) ** (1.0 / 3.0)) + 30
     ratios = np.ones(start + 1)
@@ -209,23 +214,23 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     A is applied by slicing and two gathers per ancilla, without a sparse
     matrix.
 
-    On each sector its eigenvalues are i*k with integer k, so the evolution
-    has period 2*pi in R*t. An angle |R*t| > pi is therefore reduced to
-    [-pi, pi] first, which keeps the cost independent of t. The reduced
-    angle is atan2(sin(R*t), cos(R*t)), so it agrees with the cos and sin
-    that :func:`~infoclone.transform.build_transform` uses; a remainder by
-    the float 2*pi would drift by about 4e-17 rad per radian.
+    A / (R*t) rotates the held mode into the mode B / R, so on the sector of
+    n photons its eigenvalues are i*k with integer |k| <= n. The evolution
+    thus has period 2*pi in R*t, and |R*t| > pi is reduced to [-pi, pi]
+    first, which keeps the cost independent of t. The reduced angle is
+    atan2(sin(R*t), cos(R*t)), as in :func:`~infoclone.transform.
+    build_transform`; a remainder by the float 2*pi would drift 4e-17 rad/rad.
 
     exp(A) v is the Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984)
     J_0(rho) v + 2 sum_k J_k(rho) chi_k, with chi_0 = v, chi_1 = A v / rho
     and chi_{k+1} = (2/rho) A chi_k + chi_{k-1}. The coefficients are real
-    because A is real antisymmetric. rho is the largest absolute row sum of
-    A, a Gershgorin bound on its spectral radius; A is normal, so its norm
-    is at most rho and |chi_k| <= |v|. The series stops at the first
-    k > rho with |J_k| < 1e-17, which leaves a truncation error near
-    1e-17 |v|; the rounding of the recurrence dominates. On the cutoff-60
-    oracle check the evolved state differs from the exact truncated
-    prediction by about 1e-15 in norm.
+    because A is real antisymmetric. The series needs rho >= |A|, and
+    rho = |R*t| * cutoff is |A| exactly, reached on the top sector; A is
+    normal, so |chi_k| <= |v|. The series stops at the first k > rho with
+    |J_k| < 1e-17, which leaves a truncation error near 1e-17 |v|; the
+    rounding of the recurrence dominates. On the cutoff-60 oracle check the
+    evolved state differs from the exact truncated prediction by about 1e-15
+    in norm.
     """
     n_modes, cutoff = state.n_modes, state.cutoff
     if len(config.couplings) + 1 != n_modes:
@@ -236,28 +241,22 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     angle = config.angle
     if abs(angle) > math.pi:
         angle = math.atan2(math.sin(angle), math.cos(angle))
+    coeffs = _bessel_coefficients(abs(angle) * cutoff)
+    # 2 A / rho = (2 / cutoff) sign(R*t) A / (R*t): r / R cannot overflow,
+    # and complex weights multiply the complex amplitudes without a cast
+    scale = complex(math.copysign(2.0 / cutoff, angle))
     basis = _basis(n_modes, cutoff)
     size = len(basis)
     offset = size - math.comb(cutoff - 1 + n_modes, n_modes)
-    moves, row_sums = [], np.zeros(size)
+    moves = []
     for j, r in enumerate(config.couplings, start=1):
         (source,) = np.nonzero(basis[:, j])
-        # weights of A / (R*t), whose bound stays near the cutoff however
-        # small the couplings are
-        weight = r / config.norm * np.sqrt((basis[source, 0] + 1.0) * basis[source, j])
+        weight = r / config.norm * scale * np.sqrt((basis[source, 0] + 1.0) * basis[source, j])
         partner = np.zeros(size, dtype=np.intp)
         partner[source] = np.arange(offset, size)
-        back = np.zeros(size)
+        back = np.zeros(size, dtype=complex)
         back[source] = -weight
-        row_sums[offset:] += np.abs(weight)
-        row_sums += np.abs(back)
         moves.append((source, weight, partner, back))
-    bound = row_sums.max()  # of A / (R*t)
-    coeffs = _bessel_coefficients(abs(angle) * bound)
-    # 2 A / rho, the operator of the recurrence; complex weights multiply the
-    # complex amplitudes without a cast
-    scale = complex(math.copysign(2.0 / bound, angle))
-    moves = [(source, weight * scale, partner, back * scale) for source, weight, partner, back in moves]
     v = state.amplitudes
     evolved = coeffs[0] * v
     # two buffers, ping-ponged: chi_{k+1} overwrites chi_{k-1}

@@ -355,6 +355,15 @@ class TestConfigFile:
         code, _ = run_cli("estimate", "--config", str(config))
         assert code == 2
 
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        # json.load raises RecursionError, which exit code 1 would report as
+        # a failed oracle
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 200_000)
+        assert main(["estimate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: InfoCloneError: config file {str(config)!r} is nested too deeply to read\n"
+
     def test_transform_config(self, run_cli, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"couplings": [1.0], "time": 0.0}))
@@ -535,7 +544,8 @@ def test_module_entry_point(tmp_path):
 
 
 # Prints, as one JSON object, the scipy and infoclone.fock modules loaded
-# after each step; the other checks raise in the child.
+# after each step; the other checks raise in the child. secrets pulls in
+# hashlib and OpenSSL, which neither the CLI nor --randomize needs.
 _IMPORT_BOUNDARY = """
 import json, os, sys
 
@@ -547,13 +557,16 @@ import infoclone
 loaded["import infoclone"] = fock_modules()
 import infoclone.cli
 loaded["import infoclone.cli"] = fock_modules()
+assert "secrets" not in sys.modules
 for argv in (
-    ["transform", "--couplings", "1,1", "--time", "0.5"],
+    ["transform", "--couplings", "1,1", "--time", "0.5", "--randomize"],
     ["estimate", "--trials", "20"],
     ["sweep", "--grid-axis", "n-copies", "--grid-values", "2,3", "--trials", "20"],
 ):
     assert infoclone.cli.main([*argv, "--out", os.devnull]) == 0, argv
     loaded[argv[0]] = fock_modules()
+    if argv[0] == "transform":
+        assert "secrets" not in sys.modules
 try:
     infoclone.no_such_name
 except AttributeError as exc:

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
+from infoclone.cli import main
 from infoclone.errors import InfoCloneError
 from infoclone.fock import (
     MAX_TAIL,
@@ -192,9 +193,27 @@ class TestBasis:
                 images.append(index[tuple(moved)])
             assert images == list(range(offset, len(basis)))
 
+    def test_built_once_per_oracle_run(self, tmp_path):
+        basis = _basis(3, 10)
+        assert _basis(3, 10) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1
+        # a float cutoff is checked, not served the cached int one
+        with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
+            _basis(3, 10.0)
+        # the input state, evolve and the predicted state share one build
+        _basis.cache_clear()
+        argv = ["oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=0.5,0", "--cutoff", "12"]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        info = _basis.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 class TestBesselCoefficients:
-    @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.5, 47.0, 1000.0, 3200.0])
+    # pi * 1412 is the largest rho = |R*t| * cutoff within the amplitude
+    # budget: one ancilla at cutoff 1412
+    @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.5, 47.0, 1000.0, 3200.0, math.pi * 1412])
     def test_match_scipy(self, rho):
         coeffs = _bessel_coefficients(rho)
         n = len(coeffs)
@@ -229,6 +248,22 @@ class TestEvolve:
         out = evolve(state, CouplingConfig(couplings, time))
         expected = expm(dense_generator(couplings, time, cutoff)) @ state.amplitudes
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "couplings, angle, cutoff",
+        [
+            ([1.3], 2.9, 20),
+            ([0.8, -0.6], -1.7, 10),
+            ([0.5, 1.1, -0.7], math.pi, 6),
+            ([-2.0, 0.3, 0.9, -1.5], 0.6, 4),
+            ([0.5 + k / 8 for k in range(8)], -2.2, 2),
+        ],
+    )
+    def test_spectral_radius_is_the_cutoff(self, couplings, angle, cutoff):
+        # the series takes rho = |R*t| * cutoff: A / (R*t) rotates the held
+        # mode into B / R, with eigenvalues i*k, |k| <= n, on sector n
+        gen = dense_generator(couplings, angle / math.hypot(*couplings), cutoff)
+        assert np.abs(np.linalg.eigvalsh(1j * gen)).max() == pytest.approx(abs(angle) * cutoff, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "couplings, time", [([1.0, 0.4], 0.0), ([1.0, 0.4], 1e-300), ([1.0, 0.4], -1e-300), ([2.2e-311, 0.0], 1.0)]
