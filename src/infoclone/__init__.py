@@ -9,7 +9,7 @@ drives reproducible, machine-readable experiments.
 """
 
 from .errors import InfoCloneError
-from .estimation import EstimateSummary, run_trials
+from .estimation import run_trials
 from .transform import (
     CouplingConfig,
     StrategyKind,
@@ -35,7 +35,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CouplingConfig",
-    "EstimateSummary",
     "InfoCloneError",
     "StrategyKind",
     "StrategySpec",

@@ -24,7 +24,7 @@ import os
 import sys
 
 from .errors import InfoCloneError, require_seed
-from .estimation import EstimateSummary, run_trials
+from .estimation import run_trials
 from .transform import (
     CouplingConfig,
     StrategyKind,
@@ -48,6 +48,8 @@ def _parse_complex_pair(text: str) -> complex:
         real, imag = map(float, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two comma-separated numbers RE,IM, got {text!r}") from None
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise argparse.ArgumentTypeError(f"expected two comma-separated finite numbers RE,IM, got {text!r}")
     return complex(real, imag)
 
 
@@ -233,30 +235,6 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _summary_row(summary: EstimateSummary) -> dict:
-    strategy = summary.strategy
-    return {
-        "strategy": strategy.kind.value,
-        "n_copies": strategy.n_copies,
-        "epsilon": strategy.epsilon,
-        "beta_re": strategy.beta.real,
-        "beta_im": strategy.beta.imag,
-        "sin_rt": strategy.sin_rt,
-        "signal_scale": strategy.signal_scale,
-        "offset_scale": strategy.offset_scale,
-        "alpha_re": summary.true_alpha.real,
-        "alpha_im": summary.true_alpha.imag,
-        "trials": summary.n_trials,
-        "seed": summary.seed,
-        "mean_re": summary.mean_estimate.real,
-        "mean_im": summary.mean_estimate.imag,
-        "std_re": summary.std_re,
-        "std_im": summary.std_im,
-        "theory_std_re": summary.theory_std_re,
-        "theory_std_im": summary.theory_std_im,
-    }
-
-
 def cmd_transform(cfg: dict) -> tuple[int, dict]:
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     matrix = build_transform(config)
@@ -319,8 +297,8 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
 
 def cmd_estimate(cfg: dict) -> tuple[int, dict]:
     strategy = StrategySpec(cfg["strategy"], cfg["n_copies"], cfg["epsilon"], cfg["beta"])
-    summary = run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"])
-    return 0, {"command": "estimate", "rows": [_summary_row(summary)]}
+    row = run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"])
+    return 0, {"command": "estimate", "rows": [row]}
 
 
 def _grid_strategy(axis: str, value: float, cfg: dict):
@@ -354,8 +332,7 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
     rows = []
     for value in values:
         strategy = _grid_strategy(axis, value, cfg)
-        summary = run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"])
-        rows.append(_summary_row(summary))
+        rows.append(run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"]))
     return 0, {"command": "sweep", "axis": axis, "rows": rows}
 
 

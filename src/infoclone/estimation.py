@@ -16,13 +16,13 @@ number of clones), 1 for the offset choice, and (1/sqrt(2))/(1-epsilon) for
 the near-optimal choice. For odd N the position quadrature, measured on the
 larger group, is the tighter one. A campaign draws each trial's two group
 averages, not the clones behind them; :mod:`infoclone.measurement` draws
-every clone of every trial, for reference.
+every clone of every trial, for reference. A campaign's result is its report
+row, the dict that ``report.schema.json`` describes as ``$defs.row``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .measurement import group_sizes
 from .transform import StrategySpec
 
 __all__ = [
-    "EstimateSummary",
     "clone_amplitude",
     "estimate_alpha",
     "run_trials",
@@ -39,26 +38,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class EstimateSummary:
-    """Monte Carlo campaign statistics for one strategy and one true alpha.
-
-    std_re and std_im are sample standard deviations (n_trials - 1 divisor)
-    of the per-trial estimates' quadratures; theory_std_re and theory_std_im
-    are their predicted values.
-    """
-
-    strategy: StrategySpec
-    true_alpha: complex
-    n_trials: int
-    mean_estimate: complex
-    std_re: float
-    std_im: float
-    theory_std_re: float
-    theory_std_im: float
-    seed: int
 
 
 def clone_amplitude(strategy: StrategySpec, alpha: complex) -> complex:
@@ -89,15 +68,18 @@ def run_trials(
     true_alpha: complex,
     n_trials: int,
     seed: int,
-) -> EstimateSummary:
-    """Repeat clone-measure-estimate n_trials times and summarize.
+) -> dict:
+    """Repeat clone-measure-estimate n_trials times; return the report row.
 
     The mean of n iid Normal(mu, 1/2) samples is Normal(mu, 1/(2n)), so trial
     i draws its group averages y and z directly, from standard normals 2i and
     2i+1 of the Philox stream of SeedSequence(seed); the cost does not depend
-    on N. The summary is reproducible bit for bit, and a longer campaign with
-    the same seed starts with the same trials. A campaign whose mean or std
-    overflows a double is refused with an InfoCloneError.
+    on N. The row is reproducible bit for bit, and a longer campaign with
+    the same seed starts with the same trials. std_re and std_im are sample
+    standard deviations (n_trials - 1 divisor) of the per-trial estimates'
+    quadratures; theory_std_re and theory_std_im are their predicted values.
+    A campaign whose mean or std overflows a double is refused with an
+    InfoCloneError.
     """
     true_alpha = require_finite_complex(true_alpha, "true_alpha")
     m = require_integer(n_trials, "n_trials")
@@ -121,14 +103,23 @@ def run_trials(
             "the campaign's mean or std is not finite"
         )
     theory_std_re, theory_std_im = theoretical_std(strategy)
-    return EstimateSummary(
-        strategy=strategy,
-        true_alpha=true_alpha,
-        n_trials=m,
-        mean_estimate=mean,
-        std_re=std_re,
-        std_im=std_im,
-        theory_std_re=theory_std_re,
-        theory_std_im=theory_std_im,
-        seed=seed,
-    )
+    return {
+        "strategy": strategy.kind.value,
+        "n_copies": strategy.n_copies,
+        "epsilon": strategy.epsilon,
+        "beta_re": strategy.beta.real,
+        "beta_im": strategy.beta.imag,
+        "sin_rt": strategy.sin_rt,
+        "signal_scale": strategy.signal_scale,
+        "offset_scale": strategy.offset_scale,
+        "alpha_re": true_alpha.real,
+        "alpha_im": true_alpha.imag,
+        "trials": m,
+        "seed": seed,
+        "mean_re": mean.real,
+        "mean_im": mean.imag,
+        "std_re": std_re,
+        "std_im": std_im,
+        "theory_std_re": theory_std_re,
+        "theory_std_im": theory_std_im,
+    }

@@ -95,7 +95,9 @@ def orthogonality_residual(matrix: np.ndarray) -> float:
 def apply_transform(matrix: np.ndarray, amplitudes: Sequence[complex]) -> np.ndarray:
     """Apply the real transform entrywise to a complex amplitude vector.
 
-    Orthogonality of the matrix means sum_a |amplitude_a|^2 is conserved.
+    Orthogonality of the matrix means sum_a |amplitude_a|^2 is conserved. A
+    finite vector whose image overflows a double is refused with an
+    InfoCloneError.
     """
     m = np.asarray(matrix, dtype=float)
     v = np.asarray(amplitudes, dtype=complex)
@@ -105,9 +107,13 @@ def apply_transform(matrix: np.ndarray, amplitudes: Sequence[complex]) -> np.nda
         raise InfoCloneError(
             f"amplitude vector of length {v.size} does not match matrix dim {m.shape[0]}"
         )
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.all(np.isfinite(v)):
         raise InfoCloneError("amplitude vector contains NaN or infinity")
-    return m @ v
+    with np.errstate(all="ignore"):
+        out = m @ v
+    if not np.all(np.isfinite(out)):
+        raise InfoCloneError("amplitude vector overflows a double under the transform: an output is not finite")
+    return out
 
 
 class StrategyKind(enum.Enum):

@@ -171,19 +171,19 @@ def test_statistical_criteria_on_several_seeds(seed):
     optimal = campaign("optimal", 100)
     offset = campaign("offset", 100, beta=50.0)
     near = {eps: campaign("near-optimal", 100, epsilon=eps, beta=50.0) for eps in (0.05, 0.1, 0.2)}
-    for std in (optimal.std_re, optimal.std_im):
+    for std in (optimal["std_re"], optimal["std_im"]):
         assert abs(std / OPTIMAL_STD - 1.0) <= 0.015
     bound = 5.0 * OPTIMAL_STD / math.sqrt(trials)
-    for summary in (optimal, offset, near[0.1]):
-        assert abs(summary.mean_estimate.real - ALPHA_C.real) <= bound
-        assert abs(summary.mean_estimate.imag - ALPHA_C.imag) <= bound
-    for std in (offset.std_re, offset.std_im):
+    for row in (optimal, offset, near[0.1]):
+        assert abs(row["mean_re"] - ALPHA_C.real) <= bound
+        assert abs(row["mean_im"] - ALPHA_C.imag) <= bound
+    for std in (offset["std_re"], offset["std_im"]):
         assert abs(std - 1.0) <= 0.015
     target = OPTIMAL_STD / 0.9
     expected_ratio = (1.0 - 0.05) / (1.0 - 0.2)
     for key in ("std_re", "std_im"):
-        assert abs(getattr(near[0.1], key) / target - 1.0) <= 0.02
-        ratio = getattr(near[0.2], key) / getattr(near[0.05], key)
+        assert abs(near[0.1][key] / target - 1.0) <= 0.02
+        ratio = near[0.2][key] / near[0.05][key]
         assert abs(ratio / expected_ratio - 1.0) <= 0.03
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from infoclone import StrategySpec, run_trials
-from infoclone.cli import DEFAULT_SEED, _summary_row, main
+from infoclone.cli import DEFAULT_SEED, main
 
 
 def load_schema():
@@ -288,6 +288,15 @@ class TestEstimateCommand:
         assert line.startswith("error: InfoCloneError: alpha = (1e+308+0j) with beta = 0j")
         assert "overflows a double" in line
 
+    def test_overflowing_transform_names_the_cause(self, run_cli, capsys):
+        # each input is finite, but alpha + beta in the outputs is not
+        code, _ = run_cli("transform", "--couplings", "1,1", "--time", "0.5", "--alpha=1.7e308,0", "--beta=1.7e308,0")
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: InfoCloneError: ")
+        assert "overflows a double" in line
+        assert "RuntimeWarning" not in line
+
     def test_zero_trials(self, run_cli):
         code, _ = run_cli("estimate", "--trials", "0")
         assert code == 2
@@ -517,9 +526,9 @@ class TestReproducibility:
 
 
 def test_row_columns_agree():
-    summary = run_trials(StrategySpec("optimal", 2), 0j, 2, seed=0)
+    row = run_trials(StrategySpec("optimal", 2), 0j, 2, seed=0)
     row_schema = SCHEMA["$defs"]["row"]
-    columns = list(_summary_row(summary))
+    columns = list(row)
     assert list(row_schema["properties"]) == columns
     assert row_schema["required"] == columns
 
@@ -614,8 +623,15 @@ def test_usage_error_exit_code():
         (["estimate", "--alpha=a,b"], None, "--alpha", "RE,IM"),
         (["transform", "--couplings", "x", "--time", "1"], None, "--couplings", "comma-separated numbers"),
         (["estimate"], {"alpha": "1"}, "--alpha", "RE,IM"),
+        (["transform", "--couplings", "1", "--time", "1", "--alpha=nan,0"], None, "--alpha", "finite numbers RE,IM"),
+        (["oracle", "--couplings", "1", "--time", "1", "--beta=0,inf"], None, "--beta", "finite numbers RE,IM"),
+        (["estimate", "--alpha=inf,0"], None, "--alpha", "finite numbers RE,IM, got 'inf,0'"),
+        (["estimate"], {"alpha": [math.nan, 0]}, "--alpha", "finite numbers RE,IM, got 'nan,0'"),
     ],
-    ids=["alpha-one-number", "alpha-not-numbers", "couplings-not-numbers", "config-alpha-one-number"],
+    ids=[
+        "alpha-one-number", "alpha-not-numbers", "couplings-not-numbers", "config-alpha-one-number",
+        "transform-alpha-nan", "oracle-beta-inf", "estimate-alpha-inf", "config-alpha-nan",
+    ],
 )
 def test_flag_value_messages(argv, config, flag, form, tmp_path, capsys):
     if config is not None:

@@ -129,10 +129,10 @@ class TestTheoreticalStd:
 
 class TestRunTrials:
     def test_two_trials_give_finite_summary(self):
-        summary = run_trials(StrategySpec("optimal", 4), 0.2 + 0.1j, 2, seed=3)
-        assert summary.n_trials == 2
-        assert math.isfinite(summary.std_re) and summary.std_re >= 0.0
-        assert math.isfinite(summary.std_im) and summary.std_im >= 0.0
+        row = run_trials(StrategySpec("optimal", 4), 0.2 + 0.1j, 2, seed=3)
+        assert row["trials"] == 2
+        assert math.isfinite(row["std_re"]) and row["std_re"] >= 0.0
+        assert math.isfinite(row["std_im"]) and row["std_im"] >= 0.0
 
     def test_rejects_degenerate_trial_counts(self):
         strategy = StrategySpec("optimal", 4)
@@ -145,9 +145,9 @@ class TestRunTrials:
         for m in (2.9, 3.0, "3"):
             with pytest.raises(InfoCloneError, match=f"n_trials must be an integer, got {m!r}"):
                 run_trials(strategy, 0.1, m, seed=1)
-        summary = run_trials(strategy, 0.1, np.int64(3), seed=1)
-        assert type(summary.n_trials) is int
-        assert summary == run_trials(strategy, 0.1, 3, seed=1)
+        row = run_trials(strategy, 0.1, np.int64(3), seed=1)
+        assert type(row["trials"]) is int
+        assert row == run_trials(strategy, 0.1, 3, seed=1)
 
     def test_deterministic(self):
         strategy = StrategySpec("near-optimal", 20, epsilon=0.2, beta=4.0)
@@ -158,11 +158,11 @@ class TestRunTrials:
     def test_summary_matches_recomputed_estimates(self):
         strategy = StrategySpec("offset", 12, beta=10.0 + 1.0j)
         alpha = -0.7 + 0.3j
-        summary = run_trials(strategy, alpha, 400, seed=17)
+        row = run_trials(strategy, alpha, 400, seed=17)
         estimates = scheme_estimates(strategy, alpha, 400, seed=17)
-        assert summary.mean_estimate == complex(estimates.mean())
-        assert summary.std_re == float(estimates.real.std(ddof=1))
-        assert summary.std_im == float(estimates.imag.std(ddof=1))
+        assert complex(row["mean_re"], row["mean_im"]) == complex(estimates.mean())
+        assert row["std_re"] == float(estimates.real.std(ddof=1))
+        assert row["std_im"] == float(estimates.imag.std(ddof=1))
 
     @pytest.mark.parametrize(
         "n, trials",
@@ -178,8 +178,8 @@ class TestRunTrials:
         engine = run_trials(strategy, alpha, trials, seed=101)
         reference = raw_estimates(strategy, alpha, trials, seed=202)
         for mean, std, values in [
-            (engine.mean_estimate.real, engine.std_re, reference.real),
-            (engine.mean_estimate.imag, engine.std_im, reference.imag),
+            (engine["mean_re"], engine["std_re"], reference.real),
+            (engine["mean_im"], engine["std_im"], reference.imag),
         ]:
             ref_std = values.std(ddof=1)
             assert abs(mean - values.mean()) <= 5.0 * math.sqrt((std**2 + ref_std**2) / trials)
@@ -197,10 +197,10 @@ class TestRunTrials:
     def test_unbiased(self, strategy):
         alpha = 2.1 - 3.4j
         trials = 20000
-        summary = run_trials(strategy, alpha, trials, seed=8)
+        row = run_trials(strategy, alpha, trials, seed=8)
         scale = 5.0 / math.sqrt(trials)
-        assert abs(summary.mean_estimate.real - alpha.real) <= scale * summary.theory_std_re
-        assert abs(summary.mean_estimate.imag - alpha.imag) <= scale * summary.theory_std_im
+        assert abs(row["mean_re"] - alpha.real) <= scale * row["theory_std_re"]
+        assert abs(row["mean_im"] - alpha.imag) <= scale * row["theory_std_im"]
 
     def test_unbiased_at_random_alpha(self):
         rng = np.random.default_rng(44)
@@ -212,10 +212,10 @@ class TestRunTrials:
         for strategy in strategies:
             for _ in range(2):
                 alpha = complex(rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5))
-                summary = run_trials(strategy, alpha, 5000, seed=int(rng.integers(2**32)))
-                scale = 5.0 / math.sqrt(summary.n_trials)
-                assert abs(summary.mean_estimate.real - alpha.real) <= scale * summary.theory_std_re
-                assert abs(summary.mean_estimate.imag - alpha.imag) <= scale * summary.theory_std_im
+                row = run_trials(strategy, alpha, 5000, seed=int(rng.integers(2**32)))
+                scale = 5.0 / math.sqrt(row["trials"])
+                assert abs(row["mean_re"] - alpha.real) <= scale * row["theory_std_re"]
+                assert abs(row["mean_im"] - alpha.imag) <= scale * row["theory_std_im"]
 
     def test_estimates_are_gaussian(self):
         # group averages of Gaussians are Gaussian, so the standardized

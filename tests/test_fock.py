@@ -20,7 +20,8 @@ from infoclone.fock import (
     product_state,
     truncation_tail,
 )
-from infoclone.transform import CouplingConfig, apply_transform, build_transform
+from infoclone.estimation import clone_amplitude
+from infoclone.transform import CouplingConfig, StrategySpec, apply_transform, build_transform
 
 
 def coherent_vector(alpha, cutoff):
@@ -361,6 +362,36 @@ class TestEvolve:
             assert abs(fidelity(evolved, predicted) - (1.0 - tail) ** 2) <= 1e-12
             tails.append(tail)
         assert max(tails) > 1e-8
+
+
+class TestStrategyOracle:
+    """The campaigns' clone map, against the number-basis evolution that realizes it."""
+
+    ALPHA, BETA = 0.4 - 0.3j, 0.2 + 0.1j
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize(
+        "kind, options, ancilla_beta",
+        [
+            ("optimal", {}, None),
+            ("optimal", {}, BETA),
+            ("offset", {"beta": BETA}, None),
+            ("near-optimal", {"epsilon": 0.3, "beta": BETA}, None),
+        ],
+        ids=["optimal", "optimal-ancilla-beta", "offset", "near-optimal"],
+    )
+    def test_clones_are_the_clone_map(self, kind, options, ancilla_beta, n):
+        # N equal couplings at R*t = asin(sin_rt) take (alpha, beta, ..., beta)
+        # to the held c*alpha + sin_rt*sqrt(N)*beta and N copies of the clone
+        # that the estimator inverts; the ancillas hold spec.beta unless given
+        spec = StrategySpec(kind, n, **options)
+        beta = spec.beta if ancilla_beta is None else ancilla_beta
+        cfg = CouplingConfig([1.0] * n, math.asin(spec.sin_rt) / math.sqrt(n))
+        amps = [self.ALPHA] + [beta] * n
+        held = spec.offset_scale * self.ALPHA + spec.sin_rt * math.sqrt(n) * beta
+        target = product_state([held] + [clone_amplitude(spec, self.ALPHA)] * n, 6)
+        evolved = evolve(product_state(amps, 6), cfg)
+        assert abs(fidelity(evolved, target) - (1.0 - truncation_tail(amps, 6)) ** 2) <= 1e-12
 
 
 class TestFidelity:

@@ -156,6 +156,12 @@ class TestApplyTransform:
         with pytest.raises(InfoCloneError, match="amplitude vector contains NaN or infinity"):
             apply_transform(u, [complex(math.nan, 0.0), 0.0])
 
+    def test_overflowing_output(self):
+        # finite inputs whose rotated sum exceeds the largest double
+        u = build_transform(CouplingConfig([1.0], -math.pi / 4))
+        with pytest.raises(InfoCloneError, match="overflows a double"):
+            apply_transform(u, [1.7e308, 1.7e308])
+
 
 def strategy_outputs(strategy, alpha, coupling=1.0):
     """Matrix action on (alpha, beta, ..., beta) for N equal couplings.
