@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
+from infoclone import fock
 from infoclone.cli import main
 from infoclone.errors import InfoCloneError
 from infoclone.fock import (
@@ -15,6 +16,7 @@ from infoclone.fock import (
     FockState,
     _basis,
     _bessel_coefficients,
+    _top_sector,
     evolve,
     fidelity,
     product_state,
@@ -243,12 +245,21 @@ class TestEvolve:
         # generator built move by move
         rng = np.random.default_rng(31)
         time = angle / math.hypot(*couplings)
-        size = math.comb(cutoff + len(couplings) + 1, len(couplings) + 1)
+        n_modes = len(couplings) + 1
+        size = math.comb(cutoff + n_modes, n_modes)
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-        state = FockState(len(couplings) + 1, cutoff, vec / np.linalg.norm(vec))
+        state = FockState(n_modes, cutoff, vec / np.linalg.norm(vec))
         out = evolve(state, CouplingConfig(couplings, time))
-        expected = expm(dense_generator(couplings, time, cutoff)) @ state.amplitudes
-        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+        propagator = expm(dense_generator(couplings, time, cutoff))
+        np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
+        # a product state with no weight to speak of in the top sector: only
+        # the sectors up to K' < cutoff evolve, and the rest, set to zero,
+        # still matches the evolution of the whole basis
+        a = {20: 0.25, 10: 0.02, 6: 1e-3}[cutoff]
+        state = product_state([complex(a, -a / 2) * (-1j) ** j for j in range(n_modes)], cutoff)
+        assert _top_sector(_basis(n_modes, cutoff), state.amplitudes, cutoff) < cutoff
+        out = evolve(state, CouplingConfig(couplings, time))
+        np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "couplings, angle, cutoff",
@@ -362,6 +373,59 @@ class TestEvolve:
             assert abs(fidelity(evolved, predicted) - (1.0 - tail) ** 2) <= 1e-12
             tails.append(tail)
         assert max(tails) > 1e-8
+
+
+class TestSectorBound:
+    """evolve works on the sectors up to K', the smallest above which the
+    input holds at most (1e-17 |v|)^2, not on the whole cutoff."""
+
+    @pytest.mark.parametrize("n_modes, cutoff, top", [(2, 10, 0), (3, 12, 5), (4, 8, 8), (5, 6, 2)])
+    def test_kept_rows_are_the_smaller_basis(self, n_modes, cutoff, top):
+        basis = _basis(n_modes, cutoff)
+        kept = basis[basis.sum(axis=1) <= top]
+        # cutoff 0 is refused as an input: its basis is the vacuum row alone
+        np.testing.assert_array_equal(kept, _basis(n_modes, top) if top else np.zeros((1, n_modes)))
+
+    def test_cost_follows_the_input(self, monkeypatch, tmp_path):
+        rhos = []
+
+        def spy(rho):
+            rhos.append(rho)
+            return _bessel_coefficients(rho)
+
+        monkeypatch.setattr(fock, "_bessel_coefficients", spy)
+        # |R*t| = 1; no weight above sector 23 worth keeping, out of 1000
+        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1000"]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert len(rhos) == 1 and 0 < rhos[0] <= 30.0
+        # a vector with weight in every sector keeps them all: rho = |R*t| * cutoff
+        rhos.clear()
+        config = CouplingConfig([0.8, -0.6], 0.7)
+        rng = np.random.default_rng(32)
+        size = math.comb(10 + 3, 3)
+        evolve(FockState(3, 10, rng.normal(size=size) + 1j * rng.normal(size=size)), config)
+        assert rhos == [abs(config.angle) * 10]
+
+    def test_vacuum_is_returned_exactly(self):
+        vac = product_state([0.0, 0.0, 0.0], 8)
+        out = evolve(vac, CouplingConfig([0.7, -1.1], 1.3))
+        np.testing.assert_array_equal(out.amplitudes, vac.amplitudes)
+
+    def test_zero_vector_stays_zero(self):
+        zero = FockState(3, 8, np.zeros(math.comb(11, 3), dtype=complex))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out = evolve(zero, CouplingConfig([0.7, -1.1], 1.3))
+        np.testing.assert_array_equal(out.amplitudes, zero.amplitudes)
+        assert out.norm() == 0.0
+
+    def test_non_finite_input_keeps_every_sector(self):
+        # a weight that cannot be compared drops nothing: the NaN in the top
+        # sector is evolved with it, not set to zero
+        vec = np.ones(math.comb(11, 3), dtype=complex)
+        vec[-1] = np.nan
+        out = evolve(FockState(3, 8, vec), CouplingConfig([0.7, -1.1], 1.3))
+        assert np.isnan(out.amplitudes[-1])
 
 
 class TestStrategyOracle:
