@@ -21,18 +21,6 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-# infoclone.fock loads on the first use of one of these names, so the campaigns skip it
-_FOCK_NAMES = ("evolve", "fidelity", "product_state")
-
-
-def __getattr__(name: str):
-    if name in _FOCK_NAMES:
-        from . import fock
-
-        return getattr(fock, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CouplingConfig",
     "InfoCloneError",
@@ -40,9 +28,6 @@ __all__ = [
     "StrategySpec",
     "apply_transform",
     "build_transform",
-    "evolve",
-    "fidelity",
     "orthogonality_residual",
-    "product_state",
     "run_trials",
 ]

@@ -55,7 +55,7 @@ def _parse_complex_pair(text: str) -> complex:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [float(part) for part in text.split(",")] if text.strip() else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 

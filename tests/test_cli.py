@@ -552,20 +552,28 @@ def test_module_entry_point(tmp_path):
     assert json.loads(out.read_text())["command"] == "transform"
 
 
-# Prints, as one JSON object, the scipy and infoclone.fock modules loaded
-# after each step; the other checks raise in the child. secrets pulls in
-# hashlib and OpenSSL, which neither the CLI nor --randomize needs.
+# Prints, as one JSON object, the infoclone and scipy modules loaded after
+# each step; the other checks raise in the child. secrets pulls in hashlib
+# and OpenSSL, which neither the CLI nor --randomize needs.
 _IMPORT_BOUNDARY = """
 import json, os, sys
 
-def fock_modules():
-    return [n for n in sys.modules if n == "infoclone.fock" or n.split(".")[0] == "scipy"]
+def modules():
+    return sorted(n for n in sys.modules if n.split(".")[0] in ("infoclone", "scipy"))
+
+def assert_no_attribute(name):
+    try:
+        getattr(infoclone, name)
+    except AttributeError as exc:
+        assert name in str(exc), exc
+    else:
+        raise AssertionError(f"infoclone.{name} did not raise")
 
 loaded = {}
 import infoclone
-loaded["import infoclone"] = fock_modules()
+loaded["import infoclone"] = modules()
 import infoclone.cli
-loaded["import infoclone.cli"] = fock_modules()
+loaded["import infoclone.cli"] = modules()
 assert "secrets" not in sys.modules
 for argv in (
     ["transform", "--couplings", "1,1", "--time", "0.5", "--randomize"],
@@ -573,39 +581,37 @@ for argv in (
     ["sweep", "--grid-axis", "n-copies", "--grid-values", "2,3", "--trials", "20"],
 ):
     assert infoclone.cli.main([*argv, "--out", os.devnull]) == 0, argv
-    loaded[argv[0]] = fock_modules()
+    loaded[argv[0]] = modules()
     if argv[0] == "transform":
         assert "secrets" not in sys.modules
-try:
-    infoclone.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc), exc
-else:
-    raise AssertionError("infoclone.no_such_name did not raise")
-loaded["infoclone.no_such_name"] = fock_modules()
+# infoclone.fock is imported by its own name only
+for name in ("no_such_name", "evolve", "fidelity", "product_state"):
+    assert_no_attribute(name)
+loaded["infoclone.no_such_name"] = modules()
 argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha", "0.3,0", "--cutoff", "10", "--out", os.devnull]
 assert infoclone.cli.main(argv) == 0
-loaded["oracle"] = fock_modules()
-assert infoclone.evolve is infoclone.fock.evolve
-assert infoclone.fidelity is infoclone.fock.fidelity
-assert infoclone.product_state is infoclone.fock.product_state
+loaded["oracle"] = modules()
+assert_no_attribute("evolve")
 print(json.dumps(loaded))
 """
 
 
 def test_no_command_imports_scipy():
-    # scipy is a test dependency only; fock loads for oracle alone
+    # scipy is a test dependency only; the campaigns load the pipeline's
+    # modules and no others, and oracle adds infoclone.fock alone
     proc = _fresh_python("-c", _IMPORT_BOUNDARY)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    oracle = loaded.pop("oracle")
-    assert loaded == {
-        step: []
-        for step in (
-            "import infoclone", "import infoclone.cli", "transform", "estimate", "sweep", "infoclone.no_such_name",
-        )
+    package = ["infoclone", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]
+    pipeline = sorted([*package, "infoclone.cli"])
+    assert json.loads(proc.stdout) == {
+        "import infoclone": package,
+        "import infoclone.cli": pipeline,
+        "transform": pipeline,
+        "estimate": pipeline,
+        "sweep": pipeline,
+        "infoclone.no_such_name": pipeline,
+        "oracle": sorted([*pipeline, "infoclone.fock"]),
     }
-    assert oracle == ["infoclone.fock"]
 
 
 def test_usage_error_exit_code():
@@ -627,10 +633,14 @@ def test_usage_error_exit_code():
         (["oracle", "--couplings", "1", "--time", "1", "--beta=0,inf"], None, "--beta", "finite numbers RE,IM"),
         (["estimate", "--alpha=inf,0"], None, "--alpha", "finite numbers RE,IM, got 'inf,0'"),
         (["estimate"], {"alpha": [math.nan, 0]}, "--alpha", "finite numbers RE,IM, got 'nan,0'"),
+        (["transform", "--couplings", "1,,2", "--time", "1"], None, "--couplings", "numbers, got '1,,2'"),
+        (["sweep", "--grid-axis", "n-copies", "--grid-values", "2,4,"], None, "--grid-values", "numbers, got '2,4,'"),
+        (["transform", "--time", "1"], {"couplings": "1,,2"}, "--couplings", "numbers, got '1,,2'"),
     ],
     ids=[
         "alpha-one-number", "alpha-not-numbers", "couplings-not-numbers", "config-alpha-one-number",
         "transform-alpha-nan", "oracle-beta-inf", "estimate-alpha-inf", "config-alpha-nan",
+        "couplings-empty-item", "grid-values-trailing-comma", "config-couplings-empty-item",
     ],
 )
 def test_flag_value_messages(argv, config, flag, form, tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from infoclone import InfoCloneError, StrategySpec, run_trials
-from infoclone.estimation import clone_amplitude, estimate_alpha, theoretical_std
-from infoclone.measurement import group_sizes, measure_clones
+from infoclone.estimation import clone_amplitude, estimate_alpha, group_sizes, theoretical_std
 from infoclone.transform import CouplingConfig, apply_transform, build_transform
+from reference import measure_clones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,3 +231,18 @@ class TestRunTrials:
             kurtosis = float(np.mean(centered**4) / std**4 - 3.0)
             assert abs(skew) <= 0.05
             assert abs(kurtosis) <= 0.1
+
+
+class TestGroupSizes:
+    def test_even_split_counts(self):
+        assert group_sizes(5) == (3, 2)
+        for n in (2, 3, 4, 7, 100):
+            n_position, n_momentum = group_sizes(n)
+            assert n_position == (n + 1) // 2
+            assert n_momentum == n // 2
+            assert n_position + n_momentum == n
+
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(InfoCloneError, match="n_copies must be an integer, got 5.0"):
+            group_sizes(5.0)
+        assert group_sizes(np.int64(5)) == (3, 2)

