@@ -261,18 +261,20 @@ def cmd_transform(cfg: dict) -> tuple[int, dict]:
 
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
     # imported here so that the campaigns, which never use it, skip its import
-    from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, truncation_tail
+    from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, working_cutoff
 
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     n_ancillas = len(config.couplings)
     cutoff = cfg["cutoff"]
     alpha, beta = cfg["alpha"], cfg["beta"]
     amplitudes = [alpha] + [beta] * n_ancillas
-    initial = product_state(amplitudes, cutoff)
-    evolved = evolve(initial, config)
+    # the guards apply at the cutoff asked for; every state is built at the
+    # working cutoff, the sectors that hold the input's and the prediction's
+    # weight, so no state or basis of size C(cutoff+m, m) is made
+    working, tail = working_cutoff(amplitudes, cutoff)
+    evolved = evolve(product_state(amplitudes, working), config)
     predicted = apply_transform(build_transform(config), amplitudes)
-    target = product_state(predicted, cutoff)
-    fid = fidelity(evolved, target)
+    fid = fidelity(evolved, product_state(predicted, working))
     passed = fid >= FIDELITY_THRESHOLD
     report = {
         "command": "oracle",
@@ -284,8 +286,8 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
         "beta_re": beta.real,
         "beta_im": beta.imag,
         "n_modes": n_ancillas + 1,
-        "state_size": initial.amplitudes.size,
-        "truncation_tail": truncation_tail(amplitudes, cutoff),
+        "state_size": math.comb(cutoff + n_ancillas + 1, n_ancillas + 1),
+        "truncation_tail": tail,
         "predicted_amplitudes": [[z.real, z.imag] for z in predicted],
         "evolved_norm": evolved.norm(),
         "fidelity": fid,

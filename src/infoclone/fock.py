@@ -24,13 +24,21 @@ the truncated prediction: fidelity(evolved, predicted) = (1 - tau)^2.
 Each sector also evolves on its own, so :func:`evolve` works only on the
 sectors that hold the input's weight: those up to the smallest K' above
 which the input holds at most (1e-17 |v|)^2. The sectors above K' are zero
-in its result. The exponential is a Chebyshev-Bessel series in the
-generator (Tal-Ezer & Kosloff 1984), in numpy alone, of about
-rho = |R*t| * K' terms, the generator's exact norm on the kept sectors. Its
-error, about 1e-15 in norm, shows only in the last digits of evolved norms
-and fidelities. Norms and overlaps are ufunc sums, not BLAS calls: the
-first BLAS call on a vector of this length wakes OpenBLAS's worker thread,
-which then spins through the rest of the run.
+in its result. For a coherent product that bound is known before any state
+is built: the sector weights are Poisson(sum_j |a_j|^2), and the transform
+keeps the sum, so the prediction weighs the same. :func:`working_cutoff`
+gives it in closed form, as the working cutoff K_w, and an oracle run builds
+its input, the evolution and the prediction at K_w, once each, with the
+guards still applied at the cutoff asked for: its memory, like its time,
+follows the input, not the cutoff.
+
+The exponential is a Chebyshev-Bessel series in the generator (Tal-Ezer &
+Kosloff 1984), in numpy alone, of about rho = |R*t| * K' terms, the
+generator's exact norm on the kept sectors. Its error, about 1e-15 in norm,
+shows only in the last digits of evolved norms and fidelities. Norms and
+overlaps are ufunc sums, not BLAS calls: the first BLAS call on a vector of
+this length wakes OpenBLAS's worker thread, which then spins through the
+rest of the run.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ __all__ = [
     "fidelity",
     "product_state",
     "truncation_tail",
+    "working_cutoff",
 ]
 
 MAX_AMPLITUDES = 10**6
@@ -61,6 +70,9 @@ FIDELITY_THRESHOLD = 0.999
 # The largest truncation tail that leaves fidelity (1 - tau)^2 within half of
 # the 1 - FIDELITY_THRESHOLD slack; the other half is for the transform.
 MAX_TAIL = 1.0 - math.sqrt(1.0 - (1.0 - FIDELITY_THRESHOLD) / 2.0)
+# The share of a state's weight, (1e-17)^2, that may lie above the sectors it
+# is evolved on: the error the Chebyshev series already accepts.
+_NEGLIGIBLE = 1e-34
 
 
 def _state_size(n_modes: int, cutoff: int) -> int:
@@ -166,21 +178,53 @@ def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
     return tail
 
 
+def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, float]:
+    """The mode amplitudes as an array and their truncation tail at cutoff.
+
+    Refused over the amplitude budget or when the tail exceeds MAX_TAIL.
+    """
+    amps = np.array([require_finite_complex(a, "amplitude") for a in amplitudes])
+    if not amps.size:
+        raise InfoCloneError("at least one mode amplitude is required")
+    _state_size(amps.size, cutoff)
+    tail = truncation_tail(amps, cutoff)
+    if tail > MAX_TAIL:
+        raise InfoCloneError(
+            f"truncation tail P(Poisson(sum |a|^2) > {cutoff}) = {tail:.3g} exceeds {MAX_TAIL:.3g}"
+        )
+    return amps, tail
+
+
+def working_cutoff(amplitudes: Sequence[complex], cutoff: int) -> tuple[int, float]:
+    """The working cutoff K_w of a coherent product, and its truncation tail.
+
+    The guards of :func:`product_state` and the tail are those at cutoff.
+    Sector n holds e^-mu mu^n / n! of the product's weight, with
+    mu = sum_j |a_j|^2, and an orthogonal transform keeps mu, so the
+    predicted product weighs the same. K_w is the smallest k <= cutoff above
+    which sectors 0..cutoff hold at most _NEGLIGIBLE of their weight: the K'
+    that :func:`evolve` finds in the state built at cutoff, but at least 1,
+    the smallest cutoff a state takes. Nothing of size C(cutoff+m, m) is
+    built.
+    """
+    amps, tail = _admitted(amplitudes, cutoff)
+    mean = float(_squared(amps).sum())
+    if mean == 0.0:
+        return 1, tail
+    n = np.arange(cutoff + 1)
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
+    sectors = np.exp(n * math.log(mean) - mean - log_factorials)
+    return max(_top(sectors), 1), tail
+
+
 def product_state(amplitudes: Sequence[complex], cutoff: int) -> FockState:
     """Product of coherent states, one per mode, truncated at total <= cutoff.
 
     Mode j contributes c_n = exp(-|a_j|^2 / 2) a_j^n / sqrt(n!) at its
     occupation n. Refused when the truncation tail exceeds MAX_TAIL.
     """
-    amps = np.array([require_finite_complex(a, "amplitude") for a in amplitudes])
-    if not amps.size:
-        raise InfoCloneError("at least one mode amplitude is required")
+    amps, _ = _admitted(amplitudes, cutoff)
     basis = _basis(amps.size, cutoff)
-    tail = truncation_tail(amps, cutoff)
-    if tail > MAX_TAIL:
-        raise InfoCloneError(
-            f"truncation tail P(Poisson(sum |a|^2) > {cutoff}) = {tail:.3g} exceeds {MAX_TAIL:.3g}"
-        )
     # table[j, n]: the coherent amplitude of mode j at occupation n
     steps = np.empty((amps.size, cutoff + 1), dtype=complex)
     steps[:, 0] = np.exp(-np.abs(amps) ** 2 / 2.0)
@@ -234,18 +278,22 @@ def _add_generator(out: np.ndarray, x: np.ndarray, offset: int, moves, part: np.
         out += part
 
 
+def _top(sectors: np.ndarray) -> int:
+    """The smallest k such that sectors[k+1:] hold at most _NEGLIGIBLE of the sum."""
+    # the weight above sector k, for k = 0 .. len - 2: it never increases
+    above = np.cumsum(sectors[:0:-1])[::-1]
+    return int(np.count_nonzero(above > _NEGLIGIBLE * sectors.sum()))
+
+
 def _top_sector(basis: np.ndarray, v: np.ndarray, cutoff: int) -> int:
-    """The smallest sector K' such that v holds at most (1e-17 |v|)^2 above it.
+    """The smallest sector K' such that v holds at most _NEGLIGIBLE |v|^2 above it.
 
     A weight that is not finite cannot be compared: then every sector is kept.
     """
     sectors = np.bincount(basis.sum(axis=1), weights=_squared(v), minlength=cutoff + 1)
-    total = sectors.sum()
-    if not math.isfinite(total):
+    if not math.isfinite(sectors.sum()):
         return cutoff
-    # the weight above sector k, for k = 0 .. cutoff - 1: it never increases
-    above = np.cumsum(sectors[:0:-1])[::-1]
-    return int(np.count_nonzero(above > 1e-34 * total))
+    return _top(sectors)
 
 
 def evolve(state: FockState, config: CouplingConfig) -> FockState:
@@ -261,11 +309,14 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     Each sector also evolves on its own, so only the sectors that hold the
     input's weight are evolved: those up to the smallest K' <= cutoff above
     which the input holds at most (1e-17 |v|)^2, the error the series
-    already accepts. The higher sectors of the result are set to zero. In
-    order, the rows with total <= K' are the basis at cutoff K', so the move
-    of ancilla j maps their rows with n_j >= 1, in order, one to one onto
-    their rows with n_held >= 1, which are the last C(K'-1+m, m), and A is
-    applied by slicing and two gathers per ancilla, without a sparse matrix.
+    already accepts. The higher sectors of the result are set to zero. A
+    product state built at :func:`working_cutoff` has K' equal to its cutoff
+    (the vacuum, K' = 0, aside), so an oracle run cuts and zero-fills
+    nothing; the cut serves states of any other shape. In order, the rows
+    with total <= K' are the basis at cutoff K', so the move of ancilla j
+    maps their rows with n_j >= 1, in order, one to one onto their rows with
+    n_held >= 1, which are the last C(K'-1+m, m), and A is applied by
+    slicing and two gathers per ancilla, without a sparse matrix.
 
     A / (R*t) rotates the held mode into the mode B / R, so on the sector of
     n photons its eigenvalues are i*k with integer |k| <= n. The evolution

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from infoclone import fock
 from infoclone.cli import main
 from infoclone.errors import InfoCloneError
 from infoclone.fock import (
+    MAX_AMPLITUDES,
     MAX_TAIL,
     FockState,
     _basis,
@@ -21,6 +24,7 @@ from infoclone.fock import (
     fidelity,
     product_state,
     truncation_tail,
+    working_cutoff,
 )
 from infoclone.estimation import clone_amplitude
 from infoclone.transform import CouplingConfig, StrategySpec, apply_transform, build_transform
@@ -426,6 +430,54 @@ class TestSectorBound:
         vec[-1] = np.nan
         out = evolve(FockState(3, 8, vec), CouplingConfig([0.7, -1.1], 1.3))
         assert np.isnan(out.amplitudes[-1])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_working_cutoff_is_the_top_sector(self, seed):
+        # K_w, from the Poisson sector weights alone, is the K' of the state
+        # built at the cutoff asked for; the draws put sum |a|^2 between 1e-3
+        # and half the largest cutoff the budget admits, so that K_w < cutoff
+        # in 25 of the 40 cases
+        rng = np.random.default_rng(seed)
+        n_modes = int(rng.integers(2, 5))
+        largest = max(k for k in range(1, 201) if math.comb(k + n_modes, n_modes) <= MAX_AMPLITUDES)
+        z = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+        amps = list(z * math.sqrt(10.0 ** rng.uniform(-3.0, math.log10(largest / 2))) / np.linalg.norm(z))
+        smallest = next(k for k in range(1, largest + 1) if truncation_tail(amps, k) <= MAX_TAIL)
+        cutoff = int(rng.integers(smallest, largest + 1))
+        state = product_state(amps, cutoff)
+        assert working_cutoff(amps, cutoff) == (
+            max(_top_sector(_basis(n_modes, cutoff), state.amplitudes, cutoff), 1),
+            truncation_tail(amps, cutoff),
+        )
+
+    def test_vacuum_working_cutoff_is_one(self):
+        # K' = 0, but a state's cutoff is at least 1
+        assert _top_sector(_basis(3, 8), product_state([0.0, 0.0, 0.0], 8).amplitudes, 8) == 0
+        assert working_cutoff([0.0, 0.0, 0.0], 8) == (1, 0.0)
+
+    def test_oracle_run_is_sized_by_its_input(self, tmp_path):
+        # the deepest one-ancilla run the budget admits builds nothing of its
+        # 998,991 states: every state lives at K_w = 23. The guards and the
+        # report still read the cutoff asked for.
+        out = tmp_path / "report.json"
+        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1412", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        report = json.loads(out.read_text())
+        assert report["state_size"] == 998_991
+        assert working_cutoff([0.6, 0.0], 1412)[0] == 23
+        # the tail at 1412 underflows to 0; the one at K_w does not
+        assert report["truncation_tail"] == truncation_tail([0.6, 0.0], 1412) == 0.0
+        assert truncation_tail([0.6, 0.0], 23) > 0.0
+        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0,0", "--cutoff", "5", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert (report["evolved_norm"], report["fidelity"]) == (1, 1)
 
 
 class TestStrategyOracle:
