@@ -32,13 +32,18 @@ its input, the evolution and the prediction at K_w, once each, with the
 guards still applied at the cutoff asked for: its memory, like its time,
 follows the input, not the cutoff.
 
-The exponential is a Chebyshev-Bessel series in the generator (Tal-Ezer &
-Kosloff 1984), in numpy alone, of about rho = |R*t| * K' terms, the
-generator's exact norm on the kept sectors. Its error, about 1e-15 in norm,
-shows only in the last digits of evolved norms and fidelities. Norms and
-overlaps are ufunc sums, not BLAS calls: the first BLAS call on a vector of
-this length wakes OpenBLAS's worker thread, which then spins through the
-rest of the run.
+For the same reason :func:`evolve` takes the sectors 0..K' in bands of
+whole, consecutive sectors, one band at a time, with at most _BAND_ROWS
+rows in a band unless one sector is larger: the working set of the
+evolution is one band's, and only the input, the result, the basis and the
+rows' sector totals grow with the state. On each band the exponential is a
+Chebyshev-Bessel series in the generator (Tal-Ezer & Kosloff 1984), in
+numpy alone, of about rho = |R*t| * (the band's highest sector) terms, the
+generator's exact norm on the band. Its error, about 1e-15 in norm, shows
+only in the last digits of evolved norms and fidelities. Norms and overlaps
+are ufunc sums, not BLAS calls: the first BLAS call on a vector of this
+length wakes OpenBLAS's worker thread, which then spins through the rest of
+the run.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ MAX_TAIL = 1.0 - math.sqrt(1.0 - (1.0 - FIDELITY_THRESHOLD) / 2.0)
 # The share of a state's weight, (1e-17)^2, that may lie above the sectors it
 # is evolved on: the error the Chebyshev series already accepts.
 _NEGLIGIBLE = 1e-34
+# The most rows evolve works on at once: it evolves whole, consecutive
+# sectors in bands of at most this many rows (a larger sector is a band of its
+# own), so its move tables and recurrence vectors do not grow with the state.
+_BAND_ROWS = 2**12
 
 
 def _state_size(n_modes: int, cutoff: int) -> int:
@@ -133,7 +142,11 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
     C(room + rest, rest) consecutive rows that complete it, room being the
     photons it leaves and rest the modes after it.
     """
-    basis = np.empty((_state_size(n_modes, cutoff), n_modes), dtype=np.int64)
+    # every entry is at most the cutoff; signed, since np.bincount refuses
+    # sums of unsigned 64-bit integers. The columns are written in this type:
+    # an assignment that casts takes a 64 KB buffer.
+    dtype = np.int16 if cutoff < 2**15 else np.int32
+    basis = np.empty((_state_size(n_modes, cutoff), n_modes), dtype=dtype)
     room = np.array([cutoff])
     for j in range(n_modes - 1):
         # each prefix branches into n = 0 .. room for the next mode
@@ -141,9 +154,9 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
         room = np.repeat(room, room + 1) - n
         rest = n_modes - 1 - j
         completions = np.array([math.comb(r + rest, rest) for r in range(cutoff + 1)])
-        basis[:, j] = np.repeat(n, completions[room])
+        basis[:, j] = np.repeat(n.astype(dtype), completions[room])
     # the last mode completes each prefix alone, one row per n
-    basis[:, -1] = _branch(room)
+    basis[:, -1] = _branch(room).astype(dtype)
     basis.flags.writeable = False
     return basis
 
@@ -263,9 +276,9 @@ def _add_generator(out: np.ndarray, x: np.ndarray, offset: int, moves, part: np.
 
     The move of ancilla j sends row source[i] to row offset + i with weight
     weight[i]. Its negative transpose is a gather too, not a scatter: row r
-    reads row partner[r] with weight back[r], zero where n_j = 0. The
-    products go through part, a buffer of the state's size: a fresh array
-    per gather costs page faults whenever malloc hands its memory back.
+    reads row partner[r] with weight back[r], zero where n_j = 0 (a scatter
+    is slower). The products go through part, a buffer of x's size: a fresh
+    array per gather costs page faults whenever malloc hands its memory back.
     mode="clip" gathers straight into part; the default mode buffers.
     """
     for source, weight, partner, back in moves:
@@ -296,66 +309,37 @@ def _top_sector(basis: np.ndarray, v: np.ndarray, cutoff: int) -> int:
     return _top(sectors)
 
 
-def evolve(state: FockState, config: CouplingConfig) -> FockState:
-    """Evolve under the exchange coupling between the held mode and the ancillas.
+def _bands(n_modes: int, top: int) -> list[tuple[int, int]]:
+    """Sectors 0..top as consecutive ranges (lo, hi) that share their rows evenly.
 
-    The generator is A = t * (a_held^T B - a_held B^T) with B = sum_j r_j a_j
-    over the ancilla modes. Its a_held^T a_j term moves one photon from
-    ancilla j to the held mode, (n_held, n_j) -> (n_held + 1, n_j - 1), with
-    weight sqrt((n_held + 1) n_j); the other term is its negative transpose.
-    Moves keep the total, so the generator is exact on the truncated basis
-    and antisymmetric, and the evolution is orthogonal there.
-
-    Each sector also evolves on its own, so only the sectors that hold the
-    input's weight are evolved: those up to the smallest K' <= cutoff above
-    which the input holds at most (1e-17 |v|)^2, the error the series
-    already accepts. The higher sectors of the result are set to zero. A
-    product state built at :func:`working_cutoff` has K' equal to its cutoff
-    (the vacuum, K' = 0, aside), so an oracle run cuts and zero-fills
-    nothing; the cut serves states of any other shape. In order, the rows
-    with total <= K' are the basis at cutoff K', so the move of ancilla j
-    maps their rows with n_j >= 1, in order, one to one onto their rows with
-    n_held >= 1, which are the last C(K'-1+m, m), and A is applied by
-    slicing and two gathers per ancilla, without a sparse matrix.
-
-    A / (R*t) rotates the held mode into the mode B / R, so on the sector of
-    n photons its eigenvalues are i*k with integer |k| <= n. The evolution
-    thus has period 2*pi in R*t, and |R*t| > pi is reduced to [-pi, pi]
-    first, which keeps the cost independent of t. The reduced angle is
-    atan2(sin(R*t), cos(R*t)), as in :func:`~infoclone.transform.
-    build_transform`; a remainder by the float 2*pi would drift 4e-17 rad/rad.
-
-    exp(A) v is the Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984)
-    J_0(rho) v + 2 sum_k J_k(rho) chi_k, with chi_0 = v, chi_1 = A v / rho
-    and chi_{k+1} = (2/rho) A chi_k + chi_{k-1}. The coefficients are real
-    because A is real antisymmetric. The series needs rho >= |A|, and
-    rho = |R*t| * K' is |A| on the kept sectors exactly, reached on sector
-    K'; A is normal, so |chi_k| <= |v|. The series stops at the first k > rho
-    with |J_k| < 1e-17, which leaves a truncation error near 1e-17 |v|; the
-    rounding of the recurrence dominates. On the cutoff-60 oracle check the
-    evolved state differs from the exact truncated prediction by about 1e-15
-    in norm.
+    The share is the rows of sectors 0..top over the fewest bands of at most
+    _BAND_ROWS rows. A band is closed before the next sector would take it
+    past the share; a sector larger than the share is a band of its own.
     """
-    n_modes, cutoff = state.n_modes, state.cutoff
-    if len(config.couplings) + 1 != n_modes:
-        raise InfoCloneError(
-            f"config has {len(config.couplings)} couplings but the state has "
-            f"{n_modes} modes (need couplings + 1)"
-        )
-    angle = config.angle
-    if abs(angle) > math.pi:
-        angle = math.atan2(math.sin(angle), math.cos(angle))
-    basis, v = _basis(n_modes, cutoff), state.amplitudes
-    top = _top_sector(basis, v, cutoff)
-    if top < cutoff:
-        kept = basis.sum(axis=1) <= top
-        basis, v = basis[kept], v[kept]
+    rows = math.comb(top + n_modes, n_modes)
+    share = rows / math.ceil(rows / _BAND_ROWS)
+    bands, lo, held = [], 0, 0
+    for n in range(top + 1):
+        size = math.comb(n + n_modes - 1, n_modes - 1)
+        if held and held + size > share:
+            bands.append((lo, n - 1))
+            lo, held = n, 0
+        held += size
+    bands.append((lo, top))
+    return bands
+
+
+def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: CouplingConfig, top: int) -> np.ndarray:
+    """exp(A) v on a band of whole sectors whose highest is top.
+
+    basis holds the band's rows in basis order and v their amplitudes.
+    """
     coeffs = _bessel_coefficients(abs(angle) * top)
-    # 2 A / rho = (2 / K') sign(R*t) A / (R*t): r / R cannot overflow. The
-    # vacuum, K' = 0, has no moves.
+    # 2 A / rho = (2 / top) sign(R*t) A / (R*t): r / R cannot overflow. The
+    # vacuum, top = 0, has no moves.
     scale = math.copysign(2.0 / max(top, 1), angle)
     size = len(basis)
-    offset = size - math.comb(top - 1 + n_modes, n_modes)
+    offset = size - np.count_nonzero(basis[:, 0])
     moves = []
     for j, r in enumerate(config.couplings, start=1):
         (source,) = np.nonzero(basis[:, j])
@@ -377,10 +361,77 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
             prev, cur = cur, prev
         np.multiply(cur, 2.0 * c, out=part)
         evolved += part
-    if top < cutoff:
-        full = np.zeros(state.amplitudes.size, dtype=complex)
-        full[kept] = evolved
-        evolved = full
+    return evolved
+
+
+def evolve(state: FockState, config: CouplingConfig) -> FockState:
+    """Evolve under the exchange coupling between the held mode and the ancillas.
+
+    The generator is A = t * (a_held^T B - a_held B^T) with B = sum_j r_j a_j
+    over the ancilla modes. Its a_held^T a_j term moves one photon from
+    ancilla j to the held mode, (n_held, n_j) -> (n_held + 1, n_j - 1), with
+    weight sqrt((n_held + 1) n_j); the other term is its negative transpose.
+    Moves keep the total, so the generator is exact on the truncated basis
+    and antisymmetric, and the evolution is orthogonal there.
+
+    Each sector also evolves on its own, so only the sectors that hold the
+    input's weight are evolved: those up to the smallest K' <= cutoff above
+    which the input holds at most (1e-17 |v|)^2, the error the series
+    already accepts. The higher sectors of the result are zero. A product
+    state built at :func:`working_cutoff` has K' equal to its cutoff (the
+    vacuum, K' = 0, aside); the cut serves states of any other shape.
+
+    The sectors 0..K' are evolved in bands of whole, consecutive sectors,
+    one band at a time, each written into the zero-initialised result. The
+    rows are shared evenly among the fewest bands of at most _BAND_ROWS
+    rows: a band is closed before the next sector would take it past its
+    share, and a larger sector is a band of its own. The move tables and the
+    recurrence vectors thus live for one band at a time and are bounded by
+    _BAND_ROWS rows, not by the state; only the input, the result, the
+    basis and the rows' sector totals are full size. A state that fits in one band is evolved without a
+    copy of it or of the basis. In order, the rows of a band with
+    n_held >= 1 come last, and the move of ancilla j maps the band's rows
+    with n_j >= 1, in order, one to one onto them, so A is applied by
+    slicing and two gathers per ancilla, without a sparse matrix.
+
+    A / (R*t) rotates the held mode into the mode B / R, so on the sector of
+    n photons its eigenvalues are i*k with integer |k| <= n. The evolution
+    thus has period 2*pi in R*t, and |R*t| > pi is reduced to [-pi, pi]
+    first, which keeps the cost independent of t. The reduced angle is
+    atan2(sin(R*t), cos(R*t)), as in :func:`~infoclone.transform.
+    build_transform`; a remainder by the float 2*pi would drift 4e-17 rad/rad.
+
+    On each band, exp(A) v is the Chebyshev-Bessel series (Tal-Ezer &
+    Kosloff 1984) J_0(rho) v + 2 sum_k J_k(rho) chi_k, with chi_0 = v,
+    chi_1 = A v / rho and chi_{k+1} = (2/rho) A chi_k + chi_{k-1}. The
+    coefficients are real because A is real antisymmetric. The series needs
+    rho >= |A|, and rho = |R*t| * (the band's highest sector) is |A| on the
+    band exactly, so a lower band takes fewer terms; A is normal, so
+    |chi_k| <= |v|. The series stops at the first k > rho with
+    |J_k| < 1e-17, which leaves a truncation error near 1e-17 |v|; the
+    rounding of the recurrence dominates. On the cutoff-60 oracle check the
+    evolved state differs from the exact truncated prediction by about 1e-15
+    in norm.
+    """
+    n_modes, cutoff = state.n_modes, state.cutoff
+    if len(config.couplings) + 1 != n_modes:
+        raise InfoCloneError(
+            f"config has {len(config.couplings)} couplings but the state has "
+            f"{n_modes} modes (need couplings + 1)"
+        )
+    angle = config.angle
+    if abs(angle) > math.pi:
+        angle = math.atan2(math.sin(angle), math.cos(angle))
+    basis, v = _basis(n_modes, cutoff), state.amplitudes
+    bands = _bands(n_modes, _top_sector(basis, v, cutoff))
+    if bands == [(0, cutoff)]:
+        evolved = _evolve_band(basis, v, angle, config, cutoff)
+    else:
+        totals = basis.sum(axis=1, dtype=basis.dtype)
+        evolved = np.zeros_like(v)
+        for lo, hi in bands:
+            rows = np.flatnonzero((totals >= lo) & (totals <= hi))
+            evolved[rows] = _evolve_band(basis[rows], v[rows], angle, config, hi)
     return FockState(n_modes=n_modes, cutoff=cutoff, amplitudes=evolved)
 
 

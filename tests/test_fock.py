@@ -216,6 +216,16 @@ class TestBasis:
         info = _basis.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
+    def test_compact_dtype(self):
+        # the entries fit the narrowest signed type that holds the cutoff
+        assert _basis(3, 10).dtype == np.int16
+        wide = _basis(1, 2**15)
+        assert wide.dtype == np.int32
+        np.testing.assert_array_equal(wide[:, 0], np.arange(2**15 + 1))
+        vec = np.zeros(2**15 + 1, dtype=complex)
+        vec[-1] = 1.0
+        assert _top_sector(wide, vec, 2**15) == 2**15
+
 
 class TestBesselCoefficients:
     # pi * 1412 is the largest rho = |R*t| * cutoff within the amplitude
@@ -232,38 +242,61 @@ class TestBesselCoefficients:
         np.testing.assert_allclose(coeffs, jv(np.arange(n), rho), rtol=0, atol=2e-16 * max(1.0, rho))
 
 
+# couplings, R*t and cutoff of the checks against the dense exponential
+DENSE_CASES = [
+    ([1.3], math.pi - 1e-9, 20),
+    ([1.3], -(math.pi - 1e-3), 20),
+    ([0.8, -0.6], -(math.pi - 0.05), 10),
+    ([0.8, -0.6], 2.1, 10),
+    ([0.5, 1.1, -0.7], math.pi - 1e-6, 6),
+    ([0.5, 1.1, -0.7], -0.4, 6),
+]
+
+
+def dense_inputs(couplings, cutoff):
+    """A random complex vector, not a product state, and a product state with
+    no weight to speak of in the top sector: only its sectors up to
+    K' < cutoff evolve, and the rest, set to zero, must still match the
+    evolution of the whole basis."""
+    rng = np.random.default_rng(31)
+    n_modes = len(couplings) + 1
+    size = math.comb(cutoff + n_modes, n_modes)
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    a = {20: 0.25, 10: 0.02, 6: 1e-3}[cutoff]
+    product = product_state([complex(a, -a / 2) * (-1j) ** j for j in range(n_modes)], cutoff)
+    assert _top_sector(_basis(n_modes, cutoff), product.amplitudes, cutoff) < cutoff
+    return [FockState(n_modes, cutoff, vec / np.linalg.norm(vec)), product]
+
+
 class TestEvolve:
-    @pytest.mark.parametrize(
-        "couplings, angle, cutoff",
-        [
-            ([1.3], math.pi - 1e-9, 20),
-            ([1.3], -(math.pi - 1e-3), 20),
-            ([0.8, -0.6], -(math.pi - 0.05), 10),
-            ([0.8, -0.6], 2.1, 10),
-            ([0.5, 1.1, -0.7], math.pi - 1e-6, 6),
-            ([0.5, 1.1, -0.7], -0.4, 6),
-        ],
-    )
+    @pytest.mark.parametrize("couplings, angle, cutoff", DENSE_CASES)
     def test_matches_dense_exponential(self, couplings, angle, cutoff):
-        # a random complex vector, not a product state, against expm of the
-        # generator built move by move
-        rng = np.random.default_rng(31)
+        # against expm of the generator built move by move
         time = angle / math.hypot(*couplings)
-        n_modes = len(couplings) + 1
-        size = math.comb(cutoff + n_modes, n_modes)
-        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-        state = FockState(n_modes, cutoff, vec / np.linalg.norm(vec))
-        out = evolve(state, CouplingConfig(couplings, time))
         propagator = expm(dense_generator(couplings, time, cutoff))
-        np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
-        # a product state with no weight to speak of in the top sector: only
-        # the sectors up to K' < cutoff evolve, and the rest, set to zero,
-        # still matches the evolution of the whole basis
-        a = {20: 0.25, 10: 0.02, 6: 1e-3}[cutoff]
-        state = product_state([complex(a, -a / 2) * (-1j) ** j for j in range(n_modes)], cutoff)
-        assert _top_sector(_basis(n_modes, cutoff), state.amplitudes, cutoff) < cutoff
-        out = evolve(state, CouplingConfig(couplings, time))
-        np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
+        for state in dense_inputs(couplings, cutoff):
+            out = evolve(state, CouplingConfig(couplings, time))
+            np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("couplings, angle, cutoff", DENSE_CASES)
+    def test_matches_dense_exponential_in_bands(self, monkeypatch, couplings, angle, cutoff):
+        # bands of at most 16 rows: every input spans at least 3 of them,
+        # each evolved with its own series
+        rhos = []
+
+        def spy(rho):
+            rhos.append(rho)
+            return _bessel_coefficients(rho)
+
+        monkeypatch.setattr(fock, "_BAND_ROWS", 16)
+        monkeypatch.setattr(fock, "_bessel_coefficients", spy)
+        time = angle / math.hypot(*couplings)
+        propagator = expm(dense_generator(couplings, time, cutoff))
+        for state in dense_inputs(couplings, cutoff):
+            rhos.clear()
+            out = evolve(state, CouplingConfig(couplings, time))
+            assert len(rhos) >= 3
+            np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "couplings, angle, cutoff",
@@ -407,8 +440,21 @@ class TestSectorBound:
         config = CouplingConfig([0.8, -0.6], 0.7)
         rng = np.random.default_rng(32)
         size = math.comb(10 + 3, 3)
-        evolve(FockState(3, 10, rng.normal(size=size) + 1j * rng.normal(size=size)), config)
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        evolve(FockState(3, 10, vec), config)
         assert rhos == [abs(config.angle) * 10]
+        # in bands of at most 64 rows, each band takes rho = |R*t| times its
+        # highest sector, and the last one |R*t| * K'. A band closes before
+        # the next sector would take it past its share: 300 / 5 = 60 rows for
+        # sectors 0..23 of 2 modes (sector n holds n + 1), 286 / 5 = 57.2
+        # for sectors 0..10 of 3 modes (sector n holds C(n+2, 2)).
+        monkeypatch.setattr(fock, "_BAND_ROWS", 64)
+        rhos.clear()
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert rhos == [1.0 * k for k in (9, 13, 16, 19, 21, 23)]
+        rhos.clear()
+        evolve(FockState(3, 10, vec), config)
+        assert rhos == [abs(config.angle) * k for k in (5, 6, 7, 8, 9, 10)]
 
     def test_vacuum_is_returned_exactly(self):
         vac = product_state([0.0, 0.0, 0.0], 8)
@@ -478,6 +524,25 @@ class TestSectorBound:
         assert main(argv) == 0
         report = json.loads(out.read_text())
         assert (report["evolved_norm"], report["fidelity"]) == (1, 1)
+
+    def test_oracle_run_that_fills_its_cutoff(self, tmp_path):
+        # K_w = K = 60, 39,711 rows: the states and the basis grow with the
+        # input, evolve's working set does not, so the run traces at most
+        # 100 B a row (about 170 when evolve held its move tables and
+        # recurrence vectors for every row at once)
+        argv = [
+            "oracle", "--couplings", "1.1,0.7", "--time", repr(math.pi / (4.0 * math.hypot(1.1, 0.7))),
+            "--alpha=2.5,0", "--beta=1,1", "--cutoff", "60", "--out", str(tmp_path / "report.json"),
+        ]
+        assert working_cutoff([2.5, 1 + 1j, 1 + 1j], 60)[0] == 60
+        _basis.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * math.comb(63, 3)
 
 
 class TestStrategyOracle:
