@@ -261,20 +261,20 @@ def cmd_transform(cfg: dict) -> tuple[int, dict]:
 
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
     # imported here so that the campaigns, which never use it, skip its import
-    from .fock import FIDELITY_THRESHOLD, evolve, fidelity, product_state, working_cutoff
+    from .fock import FIDELITY_THRESHOLD, overlap, working_cutoff
 
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     n_ancillas = len(config.couplings)
     cutoff = cfg["cutoff"]
     alpha, beta = cfg["alpha"], cfg["beta"]
     amplitudes = [alpha] + [beta] * n_ancillas
-    # the guards apply at the cutoff asked for; every state is built at the
-    # working cutoff, the sectors that hold the input's and the prediction's
-    # weight, so no state or basis of size C(cutoff+m, m) is made
+    # the guards apply at the cutoff asked for; the check runs at the working
+    # cutoff, the sectors that hold the input's and the prediction's weight,
+    # one band of them at a time, so no state is made, and no basis of size
+    # C(cutoff+m, m)
     working, tail = working_cutoff(amplitudes, cutoff)
-    evolved = evolve(product_state(amplitudes, working), config)
     predicted = apply_transform(build_transform(config), amplitudes)
-    fid = fidelity(evolved, product_state(predicted, working))
+    evolved_norm, fid = overlap(amplitudes, predicted, config, working)
     passed = fid >= FIDELITY_THRESHOLD
     report = {
         "command": "oracle",
@@ -289,7 +289,7 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
         "state_size": math.comb(cutoff + n_ancillas + 1, n_ancillas + 1),
         "truncation_tail": tail,
         "predicted_amplitudes": [[z.real, z.imag] for z in predicted],
-        "evolved_norm": evolved.norm(),
+        "evolved_norm": evolved_norm,
         "fidelity": fid,
         "threshold": FIDELITY_THRESHOLD,
         "passed": passed,

@@ -27,16 +27,18 @@ which the input holds at most (1e-17 |v|)^2. The sectors above K' are zero
 in its result. For a coherent product that bound is known before any state
 is built: the sector weights are Poisson(sum_j |a_j|^2), and the transform
 keeps the sum, so the prediction weighs the same. :func:`working_cutoff`
-gives it in closed form, as the working cutoff K_w, and an oracle run builds
-its input, the evolution and the prediction at K_w, once each, with the
-guards still applied at the cutoff asked for: its memory, like its time,
-follows the input, not the cutoff.
+gives it in closed form, as the working cutoff K_w, and an oracle run works
+at K_w, with the guards still applied at the cutoff asked for: its memory,
+like its time, follows the input, not the cutoff.
 
 For the same reason :func:`evolve` takes the sectors 0..K' in bands of
 whole, consecutive sectors, one band at a time, with at most _BAND_ROWS
 rows in a band unless one sector is larger: the working set of the
 evolution is one band's, and only the input, the result, the basis and the
-rows' sector totals grow with the state. On each band the exponential is a
+rows' sector totals grow with the state. An oracle run, :func:`overlap`,
+builds no state: band by band, it builds the input and the prediction on
+the band's rows, evolves them and sums, so only the basis and the totals
+grow with the input. On each band the exponential is a
 Chebyshev-Bessel series in the generator (Tal-Ezer & Kosloff 1984), in
 numpy alone, of about rho = |R*t| * (the band's highest sector) terms, the
 generator's exact norm on the band. Its error, about 1e-15 in norm, shows
@@ -65,6 +67,7 @@ __all__ = [
     "FockState",
     "evolve",
     "fidelity",
+    "overlap",
     "product_state",
     "truncation_tail",
     "working_cutoff",
@@ -131,7 +134,8 @@ def _branch(room: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-# An oracle run asks for one basis three times. typed=True: a float cutoff is
+# Evolving a product_state and checking it against a second one asks for one
+# basis three times; an oracle run asks once. typed=True: a float cutoff is
 # checked, not served the int cutoff's array. Callers share it: read-only.
 @functools.lru_cache(maxsize=1, typed=True)
 def _basis(n_modes: int, cutoff: int) -> np.ndarray:
@@ -155,8 +159,14 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
         rest = n_modes - 1 - j
         completions = np.array([math.comb(r + rest, rest) for r in range(cutoff + 1)])
         basis[:, j] = np.repeat(n.astype(dtype), completions[room])
-    # the last mode completes each prefix alone, one row per n
-    basis[:, -1] = _branch(room).astype(dtype)
+    # the last mode completes each prefix alone, one row per n: steps of +1,
+    # and at each prefix but the first a step back by the room of the one
+    # before, summed in place in the basis type
+    last = basis[:, -1]
+    last[:] = 1
+    last[0] = 0
+    last[np.cumsum(room[:-1] + 1)] = -room[:-1]
+    np.cumsum(last, out=last)
     basis.flags.writeable = False
     return basis
 
@@ -221,13 +231,33 @@ def working_cutoff(amplitudes: Sequence[complex], cutoff: int) -> tuple[int, flo
     built.
     """
     amps, tail = _admitted(amplitudes, cutoff)
+    return max(_poisson_top(amps, cutoff), 1), tail
+
+
+def _poisson_top(amps: np.ndarray, cutoff: int) -> int:
+    """The K' of the coherent product with mode amplitudes amps, at cutoff.
+
+    Sector n weighs e^-mu mu^n / n!, mu = sum_j |a_j|^2; the vacuum has K' = 0.
+    """
     mean = float(_squared(amps).sum())
     if mean == 0.0:
-        return 1, tail
+        return 0
     n = np.arange(cutoff + 1)
     log_factorials = np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
-    sectors = np.exp(n * math.log(mean) - mean - log_factorials)
-    return max(_top(sectors), 1), tail
+    return _top(np.exp(n * math.log(mean) - mean - log_factorials))
+
+
+def _coherent(amps: np.ndarray, cutoff: int, basis: np.ndarray) -> np.ndarray:
+    """The amplitudes of :func:`product_state` on the given rows of its basis."""
+    # table[j, n]: the coherent amplitude of mode j at occupation n
+    steps = np.empty((amps.size, cutoff + 1), dtype=complex)
+    steps[:, 0] = np.exp(-np.abs(amps) ** 2 / 2.0)
+    steps[:, 1:] = amps[:, None] / np.sqrt(np.arange(1.0, cutoff + 1.0))
+    table = np.cumprod(steps, axis=1)
+    vec = table[0, basis[:, 0]]
+    for j in range(1, amps.size):
+        vec *= table[j, basis[:, j]]
+    return vec
 
 
 def product_state(amplitudes: Sequence[complex], cutoff: int) -> FockState:
@@ -237,15 +267,7 @@ def product_state(amplitudes: Sequence[complex], cutoff: int) -> FockState:
     occupation n. Refused when the truncation tail exceeds MAX_TAIL.
     """
     amps, _ = _admitted(amplitudes, cutoff)
-    basis = _basis(amps.size, cutoff)
-    # table[j, n]: the coherent amplitude of mode j at occupation n
-    steps = np.empty((amps.size, cutoff + 1), dtype=complex)
-    steps[:, 0] = np.exp(-np.abs(amps) ** 2 / 2.0)
-    steps[:, 1:] = amps[:, None] / np.sqrt(np.arange(1.0, cutoff + 1.0))
-    table = np.cumprod(steps, axis=1)
-    vec = table[0, basis[:, 0]]
-    for j in range(1, amps.size):
-        vec *= table[j, basis[:, j]]
+    vec = _coherent(amps, cutoff, _basis(amps.size, cutoff))
     return FockState(n_modes=amps.size, cutoff=cutoff, amplitudes=vec)
 
 
@@ -329,6 +351,34 @@ def _bands(n_modes: int, top: int) -> list[tuple[int, int]]:
     return bands
 
 
+def _banded(basis: np.ndarray, cutoff: int, top: int):
+    """(rows, basis[rows], highest sector) of each band of sectors 0..top of the basis at cutoff.
+
+    When one band is the whole basis, rows is a slice: nothing is copied.
+    """
+    bands = _bands(basis.shape[1], top)
+    if bands == [(0, cutoff)]:
+        yield slice(None), basis, cutoff
+        return
+    totals = basis.sum(axis=1, dtype=basis.dtype)
+    for lo, hi in bands:
+        rows = np.flatnonzero((totals >= lo) & (totals <= hi))
+        yield rows, basis[rows], hi
+
+
+def _reduced_angle(config: CouplingConfig, n_modes: int) -> float:
+    """R*t reduced to [-pi, pi] as :func:`evolve` says, once config is checked against n_modes."""
+    if len(config.couplings) + 1 != n_modes:
+        raise InfoCloneError(
+            f"config has {len(config.couplings)} couplings but the state has "
+            f"{n_modes} modes (need couplings + 1)"
+        )
+    angle = config.angle
+    if abs(angle) > math.pi:
+        angle = math.atan2(math.sin(angle), math.cos(angle))
+    return angle
+
+
 def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: CouplingConfig, top: int) -> np.ndarray:
     """exp(A) v on a band of whole sectors whose highest is top.
 
@@ -388,7 +438,8 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     share, and a larger sector is a band of its own. The move tables and the
     recurrence vectors thus live for one band at a time and are bounded by
     _BAND_ROWS rows, not by the state; only the input, the result, the
-    basis and the rows' sector totals are full size. A state that fits in one band is evolved without a
+    basis and the rows' sector totals are full size (:func:`overlap` makes
+    no state at all). A state that fits in one band is evolved without a
     copy of it or of the basis. In order, the rows of a band with
     n_held >= 1 come last, and the move of ancilla j maps the band's rows
     with n_j >= 1, in order, one to one onto them, so A is applied by
@@ -414,24 +465,11 @@ def evolve(state: FockState, config: CouplingConfig) -> FockState:
     in norm.
     """
     n_modes, cutoff = state.n_modes, state.cutoff
-    if len(config.couplings) + 1 != n_modes:
-        raise InfoCloneError(
-            f"config has {len(config.couplings)} couplings but the state has "
-            f"{n_modes} modes (need couplings + 1)"
-        )
-    angle = config.angle
-    if abs(angle) > math.pi:
-        angle = math.atan2(math.sin(angle), math.cos(angle))
+    angle = _reduced_angle(config, n_modes)
     basis, v = _basis(n_modes, cutoff), state.amplitudes
-    bands = _bands(n_modes, _top_sector(basis, v, cutoff))
-    if bands == [(0, cutoff)]:
-        evolved = _evolve_band(basis, v, angle, config, cutoff)
-    else:
-        totals = basis.sum(axis=1, dtype=basis.dtype)
-        evolved = np.zeros_like(v)
-        for lo, hi in bands:
-            rows = np.flatnonzero((totals >= lo) & (totals <= hi))
-            evolved[rows] = _evolve_band(basis[rows], v[rows], angle, config, hi)
+    evolved = np.zeros_like(v)
+    for rows, band, hi in _banded(basis, cutoff, _top_sector(basis, v, cutoff)):
+        evolved[rows] = _evolve_band(band, v[rows], angle, config, hi)
     return FockState(n_modes=n_modes, cutoff=cutoff, amplitudes=evolved)
 
 
@@ -443,3 +481,27 @@ def fidelity(a: FockState, b: FockState) -> float:
             f"vs {b.n_modes} modes at cutoff {b.cutoff}"
         )
     return float(abs(np.sum(a.amplitudes.conj() * b.amplitudes)) ** 2)
+
+
+def overlap(
+    amplitudes: Sequence[complex], predicted: Sequence[complex], config: CouplingConfig, cutoff: int
+) -> tuple[float, float]:
+    """The evolved norm and the fidelity of an oracle check, with no state built.
+
+    They are those of evolve(product_state(amplitudes, cutoff), config)
+    against product_state(predicted, cutoff) but for the last digits: each
+    band of sectors 0..K' (K' from the input's Poisson sector weights) is
+    built, evolved and summed in turn.
+    """
+    amps, _ = _admitted(amplitudes, cutoff)
+    pred, _ = _admitted(predicted, cutoff)
+    if pred.size != amps.size:
+        raise InfoCloneError(f"{amps.size} input modes but {pred.size} predicted modes")
+    angle = _reduced_angle(config, amps.size)
+    squares, inner = 0.0, 0j
+    basis = _basis(amps.size, cutoff)
+    for _, band, hi in _banded(basis, cutoff, _poisson_top(amps, cutoff)):
+        evolved = _evolve_band(band, _coherent(amps, cutoff, band), angle, config, hi)
+        squares += _squared(evolved).sum()
+        inner += np.sum(evolved.conj() * _coherent(pred, cutoff, band))
+    return math.sqrt(squares), float(abs(inner) ** 2)

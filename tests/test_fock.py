@@ -22,6 +22,7 @@ from infoclone.fock import (
     _top_sector,
     evolve,
     fidelity,
+    overlap,
     product_state,
     truncation_tail,
     working_cutoff,
@@ -209,12 +210,27 @@ class TestBasis:
         # a float cutoff is checked, not served the cached int one
         with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
             _basis(3, 10.0)
-        # the input state, evolve and the predicted state share one build
+        # an oracle run builds one basis and asks for it once: every band of
+        # the input, its evolution and the prediction is taken from it
         _basis.cache_clear()
         argv = ["oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=0.5,0", "--cutoff", "12"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         info = _basis.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 0)
+
+    def test_built_in_little_more_than_its_size(self):
+        # the columns are written in the basis type: no full-size int64
+        # intermediate, so the build peaks below 2.5 times the basis
+        # (about 4 times while the last column was built in int64)
+        _basis.cache_clear()
+        tracemalloc.start()
+        try:
+            basis = _basis(3, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.nbytes == 6 * math.comb(63, 3)
+        assert peak <= 2.5 * basis.nbytes
 
     def test_compact_dtype(self):
         # the entries fit the narrowest signed type that holds the cutoff
@@ -525,24 +541,91 @@ class TestSectorBound:
         report = json.loads(out.read_text())
         assert (report["evolved_norm"], report["fidelity"]) == (1, 1)
 
-    def test_oracle_run_that_fills_its_cutoff(self, tmp_path):
-        # K_w = K = 60, 39,711 rows: the states and the basis grow with the
-        # input, evolve's working set does not, so the run traces at most
-        # 100 B a row (about 170 when evolve held its move tables and
-        # recurrence vectors for every row at once)
+    @staticmethod
+    def traced_peak_of_filled_run(tmp_path, couplings, time, alpha, beta, cutoff):
+        """The traced peak of an oracle run whose input fills its cutoff (K_w = K)."""
         argv = [
-            "oracle", "--couplings", "1.1,0.7", "--time", repr(math.pi / (4.0 * math.hypot(1.1, 0.7))),
-            "--alpha=2.5,0", "--beta=1,1", "--cutoff", "60", "--out", str(tmp_path / "report.json"),
+            "oracle", "--couplings", couplings, "--time", repr(time), f"--alpha={alpha.real!r},{alpha.imag!r}",
+            f"--beta={beta.real!r},{beta.imag!r}", "--cutoff", str(cutoff), "--out", str(tmp_path / "report.json"),
         ]
-        assert working_cutoff([2.5, 1 + 1j, 1 + 1j], 60)[0] == 60
+        assert working_cutoff([alpha, beta, beta], cutoff)[0] == cutoff
         _basis.cache_clear()
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * math.comb(63, 3)
+
+    def test_oracle_run_that_fills_its_cutoff(self, tmp_path):
+        # K_w = K = 60, 39,711 rows: only the basis and its rows' sector
+        # totals grow with the input, the states are built, evolved and
+        # summed one band at a time, so the run traces at most 40 B a row
+        # (about 170 when evolve held its move tables and recurrence vectors
+        # for every row at once, 58 when the run built its states whole)
+        time = math.pi / (4.0 * math.hypot(1.1, 0.7))
+        peak = self.traced_peak_of_filled_run(tmp_path, "1.1,0.7", time, 2.5, 1 + 1j, 60)
+        assert peak <= 40 * math.comb(63, 3)
+
+    def test_oracle_run_that_fills_a_deep_cutoff(self, tmp_path):
+        # K_w = K = 99, 171,700 rows: at most 20 B a row (55 when the run
+        # built its states whole)
+        peak = self.traced_peak_of_filled_run(tmp_path, "1,1", 1.0, 4 + 2j, 2 + 1j, 99)
+        assert peak <= 20 * math.comb(102, 3)
+
+
+class TestOverlap:
+    """overlap is the oracle check streamed: the norm of evolve on
+    product_state, and its fidelity with the predicted product, summed one
+    band at a time from the rows of one basis."""
+
+    @pytest.mark.parametrize("band_rows", [fock._BAND_ROWS, 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_library_path(self, monkeypatch, band_rows, seed):
+        # 1 to 3 ancillas, sum |a|^2 between 0.05 and 1, at the working
+        # cutoff; at the module's band size the 1- and 2-ancilla states fit
+        # one band, at 16 rows every state spans many
+        rhos = []
+
+        def spy(rho):
+            rhos.append(rho)
+            return _bessel_coefficients(rho)
+
+        monkeypatch.setattr(fock, "_BAND_ROWS", band_rows)
+        monkeypatch.setattr(fock, "_bessel_coefficients", spy)
+        rng = np.random.default_rng(seed)
+        n_ancillas = 1 + seed % 3
+        config = CouplingConfig(list(rng.uniform(-1.5, 1.5, size=n_ancillas)), float(rng.uniform(-4.0, 4.0)))
+        z = rng.normal(size=n_ancillas + 1) + 1j * rng.normal(size=n_ancillas + 1)
+        amps = list(z * math.sqrt(10.0 ** rng.uniform(-1.3, 0.0)) / np.linalg.norm(z))
+        predicted = apply_transform(build_transform(config), amps)
+        cutoff = working_cutoff(amps, 40)[0]
+        evolved_norm, fid = overlap(amps, predicted, config, cutoff)
+        streamed = list(rhos)
+        rhos.clear()
+        evolved = evolve(product_state(amps, cutoff), config)
+        # the same bands, each with the same series
+        assert streamed == rhos
+        if len(_basis(n_ancillas + 1, cutoff)) <= band_rows:
+            assert len(rhos) == 1
+        else:
+            assert len(rhos) >= 3
+        assert abs(evolved_norm - evolved.norm()) <= 1e-15
+        assert abs(fid - fidelity(evolved, product_state(predicted, cutoff))) <= 1e-15
+
+    def test_vacuum_is_exact(self):
+        # K' = 0 at the working cutoff 1: the vacuum row alone is evolved
+        config = CouplingConfig([0.7, -1.1], 1.3)
+        assert overlap([0.0] * 3, [0.0] * 3, config, working_cutoff([0.0] * 3, 8)[0]) == (1.0, 1.0)
+        evolved = evolve(product_state([0.0] * 3, 1), config)
+        assert (evolved.norm(), fidelity(evolved, product_state([0.0] * 3, 1))) == (1.0, 1.0)
+
+    def test_mode_counts_must_agree(self):
+        config = CouplingConfig([0.7, -1.1], 1.3)
+        with pytest.raises(InfoCloneError, match="predicted modes"):
+            overlap([0.5, 0.0, 0.0], [0.5, 0.0], config, 10)
+        with pytest.raises(InfoCloneError, match="need couplings"):
+            overlap([0.5, 0.0], [0.5, 0.0], config, 10)
 
 
 class TestStrategyOracle:
