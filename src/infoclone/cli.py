@@ -316,6 +316,8 @@ def _grid_strategy(axis: str, value: float, cfg: dict):
     if value == -1.0:
         return StrategySpec(StrategyKind.OPTIMAL, cfg["n_copies"])
     if -1.0 < value < 0.0:
+        if 1.0 + value == 1.0:
+            raise InfoCloneError(f"sin_rt = {value!r} is too close to 0: epsilon = 1 + sin_rt rounds to 1")
         return StrategySpec(StrategyKind.NEAR_OPTIMAL, cfg["n_copies"], 1.0 + value, cfg["beta"])
     if abs(value - math.sqrt(0.5)) <= 1e-12:
         return StrategySpec(StrategyKind.OFFSET, cfg["n_copies"], beta=cfg["beta"])

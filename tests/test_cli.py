@@ -487,6 +487,18 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["-1e-300", "-5e-17"])
+    def test_sine_that_rounds_epsilon_to_one(self, run_cli, capsys, value):
+        # inside [-1, 0), but 1 + value rounds to 1: the message names the
+        # grid value, not an epsilon the user never set
+        code, _ = run_cli(
+            "sweep", "--grid-axis", "sin-rt", f"--grid-values={value}", "--beta", "1,0", "--trials", "20"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: InfoCloneError: sin_rt = {float(value)!r} is too close to 0" in err
+        assert "epsilon must lie" not in err
+
     def test_infinite_copies_grid(self, run_cli):
         code, _ = run_cli("sweep", "--grid-axis", "n-copies", "--grid-values", "inf")
         assert code == 2
@@ -585,13 +597,13 @@ for argv in (
     if argv[0] == "transform":
         assert "secrets" not in sys.modules
 # infoclone.fock is imported by its own name only
-for name in ("no_such_name", "evolve", "fidelity", "product_state"):
+for name in ("no_such_name", "overlap", "working_cutoff", "truncation_tail"):
     assert_no_attribute(name)
 loaded["infoclone.no_such_name"] = modules()
 argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha", "0.3,0", "--cutoff", "10", "--out", os.devnull]
 assert infoclone.cli.main(argv) == 0
 loaded["oracle"] = modules()
-assert_no_attribute("evolve")
+assert_no_attribute("overlap")
 print(json.dumps(loaded))
 """
 

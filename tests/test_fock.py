@@ -16,14 +16,12 @@ from infoclone.errors import InfoCloneError
 from infoclone.fock import (
     MAX_AMPLITUDES,
     MAX_TAIL,
-    FockState,
     _basis,
     _bessel_coefficients,
-    _top_sector,
-    evolve,
-    fidelity,
+    _coherent,
+    _evolve_band,
+    _reduced_angle,
     overlap,
-    product_state,
     truncation_tail,
     working_cutoff,
 )
@@ -31,9 +29,26 @@ from infoclone.estimation import clone_amplitude
 from infoclone.transform import CouplingConfig, StrategySpec, apply_transform, build_transform
 
 
+def coherent(amps, cutoff):
+    """The coherent product of amps on the whole basis at cutoff."""
+    amps = np.asarray(amps, dtype=complex)
+    return _coherent(amps, cutoff, _basis(amps.size, cutoff))
+
+
 def coherent_vector(alpha, cutoff):
-    """A single-mode product state: the coherent ladder up to the cutoff."""
-    return product_state([alpha], cutoff)
+    """A single-mode product: the coherent ladder up to the cutoff."""
+    return coherent([alpha], cutoff)
+
+
+def evolved(v, config, cutoff):
+    """exp(A) v on the whole basis at cutoff, as one band."""
+    n_modes = len(config.couplings) + 1
+    return _evolve_band(_basis(n_modes, cutoff), v, _reduced_angle(config, n_modes), config, cutoff)
+
+
+def zero_time_fidelity(a, b, cutoff):
+    """The fidelity overlap reports for coherent products a and b at zero time."""
+    return overlap(a, b, CouplingConfig([1.0] * (len(a) - 1), 0.0), cutoff)[1]
 
 
 def occupations(n_modes, cutoff):
@@ -70,11 +85,11 @@ def poisson_tail(mean, cutoff):
 class TestCoherentVector:
     def test_vacuum(self):
         state = coherent_vector(0.0, 10)
-        assert state.amplitudes[0] == 1.0
-        assert np.all(state.amplitudes[1:] == 0.0)
+        assert state[0] == 1.0
+        assert np.all(state[1:] == 0.0)
 
     def test_unit_amplitude_leading_terms(self):
-        amps = coherent_vector(1.0, 30).amplitudes
+        amps = coherent_vector(1.0, 30)
         root = math.exp(-0.5)
         assert amps[0] == pytest.approx(root, rel=1e-15)
         assert amps[1] == pytest.approx(root, rel=1e-15)
@@ -82,70 +97,69 @@ class TestCoherentVector:
 
     def test_norm_close_to_one(self):
         state = coherent_vector(0.5 + 0.5j, 30)
-        assert abs(state.norm() ** 2 - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(state) ** 2 - 1.0) <= 1e-12
 
     def test_amplitude_guard(self):
         # P(Poisson(9) > 4) = 0.945, far above the tail bound
         with pytest.raises(
             InfoCloneError, match=re.escape("truncation tail P(Poisson(sum |a|^2) > 4) = 0.945 exceeds 0.00025")
         ):
-            coherent_vector(3.0, 4)
+            working_cutoff([3.0], 4)
 
     def test_bad_cutoff(self):
         with pytest.raises(InfoCloneError, match="cutoff must be >= 1, got 0"):
-            coherent_vector(0.1, 0)
+            working_cutoff([0.1], 0)
 
     @pytest.mark.parametrize("cutoff", [3.0, 2.5, "3"])
     def test_cutoff_must_be_an_integer(self, cutoff):
+        config = CouplingConfig([1.0], 0.5)
         with pytest.raises(InfoCloneError, match=re.escape(f"cutoff must be an integer, got {cutoff!r}")):
-            product_state([0.1, 0.2], cutoff)
+            working_cutoff([0.1, 0.2], cutoff)
         with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
-            FockState(n_modes=1, cutoff=cutoff, amplitudes=np.zeros(4, dtype=complex))
+            overlap([0.1, 0.2], [0.1, 0.2], config, cutoff)
         with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
             truncation_tail([1.0], cutoff)
-        np.testing.assert_array_equal(
-            product_state([0.1, 0.2], np.int64(3)).amplitudes, product_state([0.1, 0.2], 3).amplitudes
-        )
+        assert working_cutoff([0.1, 0.2], np.int64(3)) == working_cutoff([0.1, 0.2], 3)
+        assert overlap([0.1, 0.2], [0.1, 0.2], config, np.int64(3)) == overlap([0.1, 0.2], [0.1, 0.2], config, 3)
 
 
 class TestProductState:
     def test_all_vacuum(self):
-        state = product_state([0.0, 0.0, 0.0], 5)
-        assert state.amplitudes[0] == 1.0
-        assert np.all(state.amplitudes[1:] == 0.0)
+        state = coherent([0.0, 0.0, 0.0], 5)
+        assert state[0] == 1.0
+        assert np.all(state[1:] == 0.0)
 
     def test_tensor_with_vacuum(self):
         alpha = 0.4 - 0.2j
-        state = product_state([alpha, 0.0], 15)
-        single = coherent_vector(alpha, 15).amplitudes
+        state = coherent([alpha, 0.0], 15)
+        single = coherent_vector(alpha, 15)
         expected = [single[n1] if n2 == 0 else 0.0 for n1, n2 in occupations(2, 15)]
-        np.testing.assert_array_equal(state.amplitudes, expected)
+        np.testing.assert_array_equal(state, expected)
 
     def test_two_mode_norm(self):
-        state = product_state([1.0, 1j], 20)
-        assert state.norm() >= 1.0 - 1e-10
+        assert np.linalg.norm(coherent([1.0, 1j], 20)) >= 1.0 - 1e-10
 
     def test_size_guard(self):
         # C(203, 3) = 1373701 over budget; two modes at cutoff 1100 now fit
         with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 1373701 exceeds")):
-            product_state([0.1, 0.1, 0.1], 200)
-        assert product_state([0.1, 0.1], 1100).amplitudes.size == math.comb(1102, 2)
+            working_cutoff([0.1, 0.1, 0.1], 200)
+        assert coherent([0.1, 0.1], 1100).size == math.comb(1102, 2)
 
     def test_index_order_first_mode_slowest(self):
         # amplitude at (n_1, n_2) = (1, 0) must sit at index 1 * (cutoff+1)
         cutoff = 6
-        state = product_state([0.5, 0.0], cutoff)
-        single = coherent_vector(0.5, cutoff).amplitudes
-        assert state.amplitudes[1 * (cutoff + 1)] == single[1]
+        state = coherent([0.5, 0.0], cutoff)
+        single = coherent_vector(0.5, cutoff)
+        assert state[1 * (cutoff + 1)] == single[1]
 
     def test_matches_loop_reference(self):
         amps = [0.5 + 0.2j, -0.3j, 0.25, 0.1 - 0.4j]
         cutoff = 7
-        state = product_state(amps, cutoff)
-        tables = [coherent_vector(a, cutoff).amplitudes for a in amps]
+        state = coherent(amps, cutoff)
+        tables = [coherent_vector(a, cutoff) for a in amps]
         expected = [math.prod(t[n] for t, n in zip(tables, occ)) for occ in occupations(len(amps), cutoff)]
-        assert state.amplitudes.size == math.comb(cutoff + len(amps), len(amps))
-        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-14, atol=0)
+        assert state.size == math.comb(cutoff + len(amps), len(amps))
+        np.testing.assert_allclose(state, expected, rtol=1e-14, atol=0)
 
 
 class TestTruncationTail:
@@ -162,24 +176,24 @@ class TestTruncationTail:
         assert 1e-24 < tail < 1e-22
 
     def test_is_the_weight_the_truncation_drops(self):
-        state = product_state([1.0, 0.3 - 0.5j], 8)
+        state = coherent([1.0, 0.3 - 0.5j], 8)
         tail = truncation_tail([1.0, 0.3 - 0.5j], 8)
         assert tail > 1e-5
-        assert state.norm() ** 2 == pytest.approx(1.0 - tail, abs=1e-15)
+        assert np.linalg.norm(state) ** 2 == pytest.approx(1.0 - tail, abs=1e-15)
 
     def test_vacuum_and_overflow(self):
         assert truncation_tail([0.0, 0.0], 3) == 0.0
         # sum |a|^2 overflows the double range: refused, not an overflow error
         assert truncation_tail([1e200, 0.0], 5) == 1.0
         with pytest.raises(InfoCloneError, match="truncation tail"):
-            product_state([1e200, 0.0], 5)
+            working_cutoff([1e200, 0.0], 5)
 
     def test_guard_sits_at_the_bound(self):
         # P(Poisson(2) > 8) = 2.37e-4 is kept, P(Poisson(2.1) > 8) = 3.4e-4 is not
         assert truncation_tail([math.sqrt(2.0)], 8) < MAX_TAIL
-        product_state([1.0, 1.0], 8)
+        working_cutoff([1.0, 1.0], 8)
         with pytest.raises(InfoCloneError, match="truncation tail"):
-            product_state([1.0, math.sqrt(1.1)], 8)
+            working_cutoff([1.0, math.sqrt(1.1)], 8)
 
 
 class TestBasis:
@@ -201,28 +215,26 @@ class TestBasis:
                 images.append(index[tuple(moved)])
             assert images == list(range(offset, len(basis)))
 
-    def test_built_once_per_oracle_run(self, tmp_path):
-        basis = _basis(3, 10)
-        assert _basis(3, 10) is basis
-        assert not basis.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            basis[0, 0] = 1
-        # a float cutoff is checked, not served the cached int one
+    def test_built_once_per_oracle_run(self, monkeypatch, tmp_path):
         with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
             _basis(3, 10.0)
-        # an oracle run builds one basis and asks for it once: every band of
-        # the input, its evolution and the prediction is taken from it
-        _basis.cache_clear()
+        # an oracle run builds one basis: every band of the input, its
+        # evolution and the prediction is taken from it
+        calls = []
+
+        def spy(n_modes, cutoff):
+            calls.append((n_modes, cutoff))
+            return _basis(n_modes, cutoff)
+
+        monkeypatch.setattr(fock, "_basis", spy)
         argv = ["oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=0.5,0", "--cutoff", "12"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        info = _basis.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert calls == [(3, working_cutoff([0.5, 0.0, 0.0], 12)[0])]
 
     def test_built_in_little_more_than_its_size(self):
         # the columns are written in the basis type: no full-size int64
         # intermediate, so the build peaks below 2.5 times the basis
         # (about 4 times while the last column was built in int64)
-        _basis.cache_clear()
         tracemalloc.start()
         try:
             basis = _basis(3, 60)
@@ -238,9 +250,10 @@ class TestBasis:
         wide = _basis(1, 2**15)
         assert wide.dtype == np.int32
         np.testing.assert_array_equal(wide[:, 0], np.arange(2**15 + 1))
-        vec = np.zeros(2**15 + 1, dtype=complex)
-        vec[-1] = 1.0
-        assert _top_sector(wide, vec, 2**15) == 2**15
+        # the bands' sector totals are summed in the wide type too: the top
+        # row, sector 2**15, lands in the last band
+        band, top = list(fock._banded(wide, 2**15, 2**15))[-1]
+        assert top == band[-1, 0] == 2**15
 
 
 class TestBesselCoefficients:
@@ -269,50 +282,44 @@ DENSE_CASES = [
 ]
 
 
-def dense_inputs(couplings, cutoff):
-    """A random complex vector, not a product state, and a product state with
-    no weight to speak of in the top sector: only its sectors up to
-    K' < cutoff evolve, and the rest, set to zero, must still match the
-    evolution of the whole basis."""
+def dense_input(couplings, cutoff):
+    """A random complex unit vector on the basis at cutoff: not a product state."""
     rng = np.random.default_rng(31)
     n_modes = len(couplings) + 1
     size = math.comb(cutoff + n_modes, n_modes)
     vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-    a = {20: 0.25, 10: 0.02, 6: 1e-3}[cutoff]
-    product = product_state([complex(a, -a / 2) * (-1j) ** j for j in range(n_modes)], cutoff)
-    assert _top_sector(_basis(n_modes, cutoff), product.amplitudes, cutoff) < cutoff
-    return [FockState(n_modes, cutoff, vec / np.linalg.norm(vec)), product]
+    return vec / np.linalg.norm(vec)
 
 
 class TestEvolve:
+    """The evolution of one band, and the oracle's physics through overlap."""
+
     @pytest.mark.parametrize("couplings, angle, cutoff", DENSE_CASES)
     def test_matches_dense_exponential(self, couplings, angle, cutoff):
-        # against expm of the generator built move by move
+        # against expm of the generator built move by move, on the whole basis
         time = angle / math.hypot(*couplings)
-        propagator = expm(dense_generator(couplings, time, cutoff))
-        for state in dense_inputs(couplings, cutoff):
-            out = evolve(state, CouplingConfig(couplings, time))
-            np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
+        v = dense_input(couplings, cutoff)
+        out = evolved(v, CouplingConfig(couplings, time), cutoff)
+        np.testing.assert_allclose(out, expm(dense_generator(couplings, time, cutoff)) @ v, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("couplings, angle, cutoff", DENSE_CASES)
     def test_matches_dense_exponential_in_bands(self, monkeypatch, couplings, angle, cutoff):
-        # bands of at most 16 rows: every input spans at least 3 of them,
-        # each evolved with its own series
-        rhos = []
-
-        def spy(rho):
-            rhos.append(rho)
-            return _bessel_coefficients(rho)
-
+        # bands of at most 16 rows: the basis spans at least 3 of them, each
+        # evolved on its own rows with its own series
         monkeypatch.setattr(fock, "_BAND_ROWS", 16)
-        monkeypatch.setattr(fock, "_bessel_coefficients", spy)
-        time = angle / math.hypot(*couplings)
-        propagator = expm(dense_generator(couplings, time, cutoff))
-        for state in dense_inputs(couplings, cutoff):
-            rhos.clear()
-            out = evolve(state, CouplingConfig(couplings, time))
-            assert len(rhos) >= 3
-            np.testing.assert_allclose(out.amplitudes, propagator @ state.amplitudes, rtol=0, atol=1e-12)
+        n_modes = len(couplings) + 1
+        config = CouplingConfig(couplings, angle / math.hypot(*couplings))
+        basis = _basis(n_modes, cutoff)
+        totals = basis.sum(axis=1)
+        v = dense_input(couplings, cutoff)
+        out = np.full_like(v, np.nan)
+        bands = fock._bands(n_modes, cutoff)
+        assert len(bands) >= 3
+        for lo, hi in bands:
+            rows = np.flatnonzero((totals >= lo) & (totals <= hi))
+            out[rows] = _evolve_band(basis[rows], v[rows], _reduced_angle(config, n_modes), config, hi)
+        propagator = expm(dense_generator(couplings, config.time, cutoff))
+        np.testing.assert_allclose(out, propagator @ v, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "couplings, angle, cutoff",
@@ -334,62 +341,57 @@ class TestEvolve:
         "couplings, time", [([1.0, 0.4], 0.0), ([1.0, 0.4], 1e-300), ([1.0, 0.4], -1e-300), ([2.2e-311, 0.0], 1.0)]
     )
     def test_vanishing_angle_returns_the_input(self, couplings, time):
-        state = product_state([0.5 + 0.2j, -0.3j, 0.1], 15)
+        state = coherent([0.5 + 0.2j, -0.3j, 0.1], 15)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
             warnings.simplefilter("error")
-            out = evolve(state, CouplingConfig(couplings, time))
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+            out = evolved(state, CouplingConfig(couplings, time), 15)
+        np.testing.assert_array_equal(out, state)
 
     def test_vacuum_is_fixed(self):
-        cfg = CouplingConfig([0.7, -1.1], 1.3)
-        vac = product_state([0.0, 0.0, 0.0], 8)
-        out = evolve(vac, cfg)
-        assert fidelity(out, vac) == pytest.approx(1.0, abs=1e-12)
+        vac = coherent([0.0, 0.0, 0.0], 8)
+        out = evolved(vac, CouplingConfig([0.7, -1.1], 1.3), 8)
+        assert abs(np.vdot(vac, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_time_is_identity(self):
-        cfg = CouplingConfig([1.0], 0.0)
-        state = product_state([0.5 + 0.2j, -0.3j], 20)
-        out = evolve(state, cfg)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        state = coherent([0.5 + 0.2j, -0.3j], 20)
+        np.testing.assert_allclose(evolved(state, CouplingConfig([1.0], 0.0), 20), state, atol=1e-12)
 
     @pytest.mark.parametrize("couplings", [[1.3], [0.8, -0.6]])
     @pytest.mark.parametrize("turns", [1, 3, 10])
     def test_whole_turns_match_steps_below_pi(self, couplings, turns):
-        # one evolve at |R*t| > pi (angle reduced) against the same angle
+        # one evolution at |R*t| > pi (angle reduced) against the same angle
         # walked in steps of |R*t| <= pi (no reduction)
-        cutoff, norm = 10, math.hypot(*couplings)
+        cutoff, r = 10, math.hypot(*couplings)
         angle = 0.7 + 2.0 * math.pi * turns
         n_steps = math.ceil(angle / math.pi)
-        state = product_state([0.5 + 0.2j] + [-0.3j] * len(couplings), cutoff)
-        whole = evolve(state, CouplingConfig(couplings, angle / norm))
+        state = coherent([0.5 + 0.2j] + [-0.3j] * len(couplings), cutoff)
+        whole = evolved(state, CouplingConfig(couplings, angle / r), cutoff)
         stepped = state
         for _ in range(n_steps):
-            stepped = evolve(stepped, CouplingConfig(couplings, angle / norm / n_steps))
+            stepped = evolved(stepped, CouplingConfig(couplings, angle / r / n_steps), cutoff)
         # the truncation keeps whole sectors only, so the period holds on
         # every amplitude
-        np.testing.assert_allclose(whole.amplitudes, stepped.amplitudes, rtol=0, atol=1e-13)
-        assert fidelity(whole, stepped) == pytest.approx(fidelity(stepped, stepped), abs=1e-12)
+        np.testing.assert_allclose(whole, stepped, rtol=0, atol=1e-13)
+        assert abs(np.vdot(whole, stepped)) ** 2 == pytest.approx(np.linalg.norm(stepped) ** 4, abs=1e-12)
 
     def test_quarter_turn_single_ancilla(self):
         cfg = CouplingConfig([1.0], math.pi / 2)
-        out = evolve(product_state([0.6, 0.0], 25), cfg)
-        predicted = product_state([0.0, -0.6], 25)
-        assert fidelity(out, predicted) >= 0.999
-        assert fidelity(out, predicted) == pytest.approx(1.0, abs=1e-10)
+        fid = overlap([0.6, 0.0], [0.0, -0.6], cfg, 25)[1]
+        assert fid >= 0.999
+        assert fid == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             cfg = CouplingConfig(rng.uniform(-2.0, 2.0, size=2), float(rng.uniform(-3, 3)))
             amps = [complex(*rng.uniform(-0.55, 0.55, 2)) for _ in range(3)]
-            state = product_state(amps, 12)
-            out = evolve(state, cfg)
-            assert abs(out.norm() - state.norm()) <= 1e-8
+            state = coherent(amps, 12)
+            assert abs(np.linalg.norm(evolved(state, cfg, 12)) - np.linalg.norm(state)) <= 1e-8
 
     def test_mode_count_mismatch(self):
         cfg = CouplingConfig([1.0, 1.0], 0.5)
         with pytest.raises(InfoCloneError, match=re.escape("config has 2 couplings but the state has 2 modes")):
-            evolve(product_state([0.1, 0.1], 10), cfg)
+            _reduced_angle(cfg, 2)
 
     def test_products_stay_products_single_ancilla(self):
         rng = np.random.default_rng(22)
@@ -397,18 +399,16 @@ class TestEvolve:
             cfg = CouplingConfig([float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))],
                                  float(rng.uniform(-3.0, 3.0)))
             amps = [complex(*rng.uniform(-0.57, 0.57, 2)) for _ in range(2)]
-            evolved = evolve(product_state(amps, 25), cfg)
-            predicted = product_state(apply_transform(build_transform(cfg), amps), 25)
-            assert fidelity(evolved, predicted) >= 0.999
+            predicted = apply_transform(build_transform(cfg), amps)
+            assert overlap(amps, predicted, cfg, 25)[1] >= 0.999
 
     def test_products_stay_products_two_ancillas(self):
         rng = np.random.default_rng(23)
         for _ in range(3):
             cfg = CouplingConfig(rng.uniform(-1.5, 1.5, size=2), float(rng.uniform(-2.0, 2.0)))
             amps = [complex(*rng.uniform(-0.57, 0.57, 2)) for _ in range(3)]
-            evolved = evolve(product_state(amps, 12), cfg)
-            predicted = product_state(apply_transform(build_transform(cfg), amps), 12)
-            assert fidelity(evolved, predicted) >= 0.999
+            predicted = apply_transform(build_transform(cfg), amps)
+            assert overlap(amps, predicted, cfg, 12)[1] >= 0.999
 
     def test_fidelity_is_truncated_weight_squared(self):
         # each kept sector evolves exactly and the transform keeps sum |a|^2,
@@ -421,15 +421,14 @@ class TestEvolve:
             # the smallest cutoff that keeps the tail at or below 1e-6
             cutoff = next(k for k in itertools.count(1) if truncation_tail(amps, k) <= 1e-6)
             tail = truncation_tail(amps, cutoff)
-            evolved = evolve(product_state(amps, cutoff), cfg)
-            predicted = product_state(apply_transform(build_transform(cfg), amps), cutoff)
-            assert abs(fidelity(evolved, predicted) - (1.0 - tail) ** 2) <= 1e-12
+            predicted = apply_transform(build_transform(cfg), amps)
+            assert abs(overlap(amps, predicted, cfg, cutoff)[1] - (1.0 - tail) ** 2) <= 1e-12
             tails.append(tail)
         assert max(tails) > 1e-8
 
 
 class TestSectorBound:
-    """evolve works on the sectors up to K', the smallest above which the
+    """overlap works on the sectors up to K', the smallest above which the
     input holds at most (1e-17 |v|)^2, not on the whole cutoff."""
 
     @pytest.mark.parametrize("n_modes, cutoff, top", [(2, 10, 0), (3, 12, 5), (4, 8, 8), (5, 6, 2)])
@@ -451,13 +450,13 @@ class TestSectorBound:
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1000"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         assert len(rhos) == 1 and 0 < rhos[0] <= 30.0
-        # a vector with weight in every sector keeps them all: rho = |R*t| * cutoff
+        # an input with weight worth keeping in every sector keeps them all:
+        # rho = |R*t| * cutoff
         rhos.clear()
         config = CouplingConfig([0.8, -0.6], 0.7)
-        rng = np.random.default_rng(32)
-        size = math.comb(10 + 3, 3)
-        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-        evolve(FockState(3, 10, vec), config)
+        amps = [1.0, 1.0, 0.7]
+        assert working_cutoff(amps, 10)[0] == 10
+        overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * 10]
         # in bands of at most 64 rows, each band takes rho = |R*t| times its
         # highest sector, and the last one |R*t| * K'. A band closes before
@@ -469,36 +468,26 @@ class TestSectorBound:
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         assert rhos == [1.0 * k for k in (9, 13, 16, 19, 21, 23)]
         rhos.clear()
-        evolve(FockState(3, 10, vec), config)
+        overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * k for k in (5, 6, 7, 8, 9, 10)]
 
     def test_vacuum_is_returned_exactly(self):
-        vac = product_state([0.0, 0.0, 0.0], 8)
-        out = evolve(vac, CouplingConfig([0.7, -1.1], 1.3))
-        np.testing.assert_array_equal(out.amplitudes, vac.amplitudes)
+        # K' = 0 at cutoff 8: the vacuum row alone is evolved, by no term
+        assert overlap([0.0] * 3, [0.0] * 3, CouplingConfig([0.7, -1.1], 1.3), 8) == (1.0, 1.0)
 
     def test_zero_vector_stays_zero(self):
-        zero = FockState(3, 8, np.zeros(math.comb(11, 3), dtype=complex))
+        zero = np.zeros(math.comb(11, 3), dtype=complex)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            out = evolve(zero, CouplingConfig([0.7, -1.1], 1.3))
-        np.testing.assert_array_equal(out.amplitudes, zero.amplitudes)
-        assert out.norm() == 0.0
-
-    def test_non_finite_input_keeps_every_sector(self):
-        # a weight that cannot be compared drops nothing: the NaN in the top
-        # sector is evolved with it, not set to zero
-        vec = np.ones(math.comb(11, 3), dtype=complex)
-        vec[-1] = np.nan
-        out = evolve(FockState(3, 8, vec), CouplingConfig([0.7, -1.1], 1.3))
-        assert np.isnan(out.amplitudes[-1])
+            out = evolved(zero, CouplingConfig([0.7, -1.1], 1.3), 8)
+        np.testing.assert_array_equal(out, zero)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_working_cutoff_is_the_top_sector(self, seed):
         # K_w, from the Poisson sector weights alone, is the K' of the state
-        # built at the cutoff asked for; the draws put sum |a|^2 between 1e-3
-        # and half the largest cutoff the budget admits, so that K_w < cutoff
-        # in 25 of the 40 cases
+        # built at the cutoff asked for, found from its weight by row total;
+        # the draws put sum |a|^2 between 1e-3 and half the largest cutoff the
+        # budget admits, so that K_w < cutoff in 25 of the 40 cases
         rng = np.random.default_rng(seed)
         n_modes = int(rng.integers(2, 5))
         largest = max(k for k in range(1, 201) if math.comb(k + n_modes, n_modes) <= MAX_AMPLITUDES)
@@ -506,15 +495,15 @@ class TestSectorBound:
         amps = list(z * math.sqrt(10.0 ** rng.uniform(-3.0, math.log10(largest / 2))) / np.linalg.norm(z))
         smallest = next(k for k in range(1, largest + 1) if truncation_tail(amps, k) <= MAX_TAIL)
         cutoff = int(rng.integers(smallest, largest + 1))
-        state = product_state(amps, cutoff)
-        assert working_cutoff(amps, cutoff) == (
-            max(_top_sector(_basis(n_modes, cutoff), state.amplitudes, cutoff), 1),
-            truncation_tail(amps, cutoff),
-        )
+        basis = _basis(n_modes, cutoff)
+        weights = np.abs(_coherent(np.asarray(amps), cutoff, basis)) ** 2
+        sectors = np.bincount(basis.sum(axis=1), weights=weights, minlength=cutoff + 1)
+        top = next(k for k in range(cutoff + 1) if sectors[k + 1 :].sum() <= 1e-34 * sectors.sum())
+        assert working_cutoff(amps, cutoff) == (max(top, 1), truncation_tail(amps, cutoff))
 
     def test_vacuum_working_cutoff_is_one(self):
-        # K' = 0, but a state's cutoff is at least 1
-        assert _top_sector(_basis(3, 8), product_state([0.0, 0.0, 0.0], 8).amplitudes, 8) == 0
+        # K' = 0, but overlap takes a cutoff of at least 1
+        assert fock._poisson_top(np.zeros(3), 8) == 0
         assert working_cutoff([0.0, 0.0, 0.0], 8) == (1, 0.0)
 
     def test_oracle_run_is_sized_by_its_input(self, tmp_path):
@@ -549,7 +538,6 @@ class TestSectorBound:
             f"--beta={beta.real!r},{beta.imag!r}", "--cutoff", str(cutoff), "--out", str(tmp_path / "report.json"),
         ]
         assert working_cutoff([alpha, beta, beta], cutoff)[0] == cutoff
-        _basis.cache_clear()
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -575,9 +563,9 @@ class TestSectorBound:
 
 
 class TestOverlap:
-    """overlap is the oracle check streamed: the norm of evolve on
-    product_state, and its fidelity with the predicted product, summed one
-    band at a time from the rows of one basis."""
+    """overlap is the oracle check streamed: the norm of the evolved coherent
+    product, and its fidelity with the predicted product, summed one band at
+    a time from the rows of one basis."""
 
     @pytest.mark.parametrize("band_rows", [fock._BAND_ROWS, 16])
     @pytest.mark.parametrize("seed", range(6))
@@ -585,6 +573,7 @@ class TestOverlap:
         # 1 to 3 ancillas, sum |a|^2 between 0.05 and 1, at the working
         # cutoff; at the module's band size the 1- and 2-ancilla states fit
         # one band, at 16 rows every state spans many
+        default_rows = fock._BAND_ROWS
         rhos = []
 
         def spy(rho):
@@ -595,30 +584,34 @@ class TestOverlap:
         monkeypatch.setattr(fock, "_bessel_coefficients", spy)
         rng = np.random.default_rng(seed)
         n_ancillas = 1 + seed % 3
+        n_modes = n_ancillas + 1
         config = CouplingConfig(list(rng.uniform(-1.5, 1.5, size=n_ancillas)), float(rng.uniform(-4.0, 4.0)))
-        z = rng.normal(size=n_ancillas + 1) + 1j * rng.normal(size=n_ancillas + 1)
+        z = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
         amps = list(z * math.sqrt(10.0 ** rng.uniform(-1.3, 0.0)) / np.linalg.norm(z))
         predicted = apply_transform(build_transform(config), amps)
         cutoff = working_cutoff(amps, 40)[0]
         evolved_norm, fid = overlap(amps, predicted, config, cutoff)
-        streamed = list(rhos)
-        rhos.clear()
-        evolved = evolve(product_state(amps, cutoff), config)
-        # the same bands, each with the same series
-        assert streamed == rhos
-        if len(_basis(n_ancillas + 1, cutoff)) <= band_rows:
+        # each band with its own series, of rho = |R*t| * its highest sector
+        angle = abs(_reduced_angle(config, n_modes))
+        assert rhos == [angle * hi for _, hi in fock._bands(n_modes, cutoff)]
+        if len(_basis(n_modes, cutoff)) <= band_rows:
             assert len(rhos) == 1
         else:
             assert len(rhos) >= 3
-        assert abs(evolved_norm - evolved.norm()) <= 1e-15
-        assert abs(fid - fidelity(evolved, product_state(predicted, cutoff))) <= 1e-15
+        # the band size changes only the order of the sums
+        monkeypatch.setattr(fock, "_BAND_ROWS", default_rows)
+        assert overlap(amps, predicted, config, cutoff) == pytest.approx((evolved_norm, fid), rel=0, abs=1e-15)
+        # against the dense exponential, on the bases small enough for it:
+        # seeds 0, 1 and 3, of 276, 969 and 231 rows
+        if math.comb(cutoff + n_modes, n_modes) <= 1000:
+            out = expm(dense_generator(config.couplings, config.time, cutoff)) @ coherent(amps, cutoff)
+            assert abs(evolved_norm - np.linalg.norm(out)) <= 1e-12
+            assert abs(fid - abs(np.vdot(coherent(predicted, cutoff), out)) ** 2) <= 1e-12
 
     def test_vacuum_is_exact(self):
         # K' = 0 at the working cutoff 1: the vacuum row alone is evolved
         config = CouplingConfig([0.7, -1.1], 1.3)
         assert overlap([0.0] * 3, [0.0] * 3, config, working_cutoff([0.0] * 3, 8)[0]) == (1.0, 1.0)
-        evolved = evolve(product_state([0.0] * 3, 1), config)
-        assert (evolved.norm(), fidelity(evolved, product_state([0.0] * 3, 1))) == (1.0, 1.0)
 
     def test_mode_counts_must_agree(self):
         config = CouplingConfig([0.7, -1.1], 1.3)
@@ -653,44 +646,20 @@ class TestStrategyOracle:
         cfg = CouplingConfig([1.0] * n, math.asin(spec.sin_rt) / math.sqrt(n))
         amps = [self.ALPHA] + [beta] * n
         held = spec.offset_scale * self.ALPHA + spec.sin_rt * math.sqrt(n) * beta
-        target = product_state([held] + [clone_amplitude(spec, self.ALPHA)] * n, 6)
-        evolved = evolve(product_state(amps, 6), cfg)
-        assert abs(fidelity(evolved, target) - (1.0 - truncation_tail(amps, 6)) ** 2) <= 1e-12
+        fid = overlap(amps, [held] + [clone_amplitude(spec, self.ALPHA)] * n, cfg, 6)[1]
+        assert abs(fid - (1.0 - truncation_tail(amps, 6)) ** 2) <= 1e-12
 
 
 class TestFidelity:
+    """The fidelity overlap reports, at zero time: that of two coherent products."""
+
     def test_self_fidelity(self):
-        state = product_state([0.3 + 0.4j, -0.2], 15)
-        normed = FockState(state.n_modes, state.cutoff, state.amplitudes / state.norm())
-        assert fidelity(normed, normed) == pytest.approx(1.0, abs=1e-12)
+        a = [0.3 + 0.4j, -0.2]
+        assert zero_time_fidelity(a, a, 15) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_against_unit_coherent(self):
-        vac = coherent_vector(0.0, 30)
-        one = coherent_vector(1.0, 30)
-        assert fidelity(vac, one) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        e0 = np.zeros(4, dtype=complex)
-        e2 = np.zeros(4, dtype=complex)
-        e0[0] = 1.0
-        e2[2] = 1.0
-        assert fidelity(FockState(1, 3, e0), FockState(1, 3, e2)) == 0.0
+        assert zero_time_fidelity([0.0, 0.0], [1.0, 0.0], 30) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_symmetry(self):
-        a = coherent_vector(0.3 + 0.1j, 20)
-        b = coherent_vector(-0.2 + 0.4j, 20)
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), rel=1e-12)
-
-    def test_space_mismatch(self):
-        with pytest.raises(InfoCloneError, match="states live on different spaces"):
-            fidelity(coherent_vector(0.1, 10), coherent_vector(0.1, 11))
-
-
-class TestFockState:
-    def test_size_guard(self):
-        with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 4598126 exceeds")):
-            FockState(n_modes=4, cutoff=100, amplitudes=np.zeros(0, dtype=complex))
-
-    def test_length_check(self):
-        with pytest.raises(InfoCloneError, match=re.escape("expected 4 amplitudes for 1 modes at cutoff 3")):
-            FockState(n_modes=1, cutoff=3, amplitudes=np.zeros(5, dtype=complex))
+        a, b = [0.3 + 0.1j, 0.0], [-0.2 + 0.4j, 0.0]
+        assert zero_time_fidelity(a, b, 20) == pytest.approx(zero_time_fidelity(b, a, 20), rel=1e-12)
