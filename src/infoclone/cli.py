@@ -261,20 +261,15 @@ def cmd_transform(cfg: dict) -> tuple[int, dict]:
 
 def cmd_oracle(cfg: dict) -> tuple[int, dict]:
     # imported here so that the campaigns, which never use it, skip its import
-    from .fock import FIDELITY_THRESHOLD, overlap, working_cutoff
+    from .fock import FIDELITY_THRESHOLD, overlap
 
     config = CouplingConfig(_require(cfg, "couplings"), _require(cfg, "time"))
     n_ancillas = len(config.couplings)
     cutoff = cfg["cutoff"]
     alpha, beta = cfg["alpha"], cfg["beta"]
     amplitudes = [alpha] + [beta] * n_ancillas
-    # the guards apply at the cutoff asked for; the check runs at the working
-    # cutoff, the sectors that hold the input's and the prediction's weight,
-    # one band of them at a time, so no state is made, and no basis of size
-    # C(cutoff+m, m)
-    working, tail = working_cutoff(amplitudes, cutoff)
     predicted = apply_transform(build_transform(config), amplitudes)
-    evolved_norm, fid = overlap(amplitudes, predicted, config, working)
+    evolved_norm, fid, tail = overlap(amplitudes, predicted, config, cutoff)
     passed = fid >= FIDELITY_THRESHOLD
     report = {
         "command": "oracle",

@@ -25,17 +25,17 @@ when the transform is right the evolved state is exactly the truncated
 prediction: their fidelity is (1 - tau)^2.
 
 A coherent product's sector weights are Poisson(sum_j |a_j|^2), and each
-sector evolves on its own, so :func:`working_cutoff` gives in closed form
-the working cutoff K_w, above which the input holds at most (1e-17 |v|)^2,
-the error the series already accepts. An oracle run works at K_w, with
-the guards still applied at the cutoff asked for, and :func:`overlap`
-builds no state: it takes the sectors 0..K_w in bands of whole,
-consecutive sectors, with at most _BAND_ROWS rows in a band unless one
-sector is larger, and for each band builds the input and the prediction on
-the band's rows, evolves the input and sums. Only the basis and its rows'
-sector totals grow with the input. Norms and overlaps are ufunc sums, not
-BLAS calls: the first BLAS call on a vector of this length wakes
-OpenBLAS's worker thread, which then spins through the rest of the run.
+sector evolves on its own. :func:`overlap`, the one entry point, applies the
+guards at the cutoff asked for and finds there, in closed form, K': the
+smallest sector above which the input holds at most (1e-17 |v|)^2 of its
+weight, the error the series already accepts. It builds one basis, at K',
+and no state: it takes sectors 0..K' in bands of whole, consecutive sectors,
+with at most _BAND_ROWS rows in a band unless one sector is larger, and for
+each band builds the input and the prediction on the band's rows, evolves
+the input and sums. Only the basis and its rows' sector totals grow with the
+input. Norms and overlaps are ufunc sums, not BLAS calls: the first BLAS
+call on a vector of this length wakes OpenBLAS's worker thread, which then
+spins through the rest of the run.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "MAX_TAIL",
     "overlap",
     "truncation_tail",
-    "working_cutoff",
 ]
 
 MAX_AMPLITUDES = 10**6
@@ -69,18 +68,6 @@ _NEGLIGIBLE = 1e-34
 # sectors in bands of at most this many rows (a larger sector is a band of its
 # own), so its move tables and recurrence vectors do not grow with the state.
 _BAND_ROWS = 2**12
-
-
-def _state_size(n_modes: int, cutoff: int) -> int:
-    """C(cutoff+n_modes, n_modes), checked against the amplitude budget."""
-    if require_integer(cutoff, "cutoff") < 1:
-        raise InfoCloneError(f"cutoff must be >= 1, got {cutoff!r}")
-    size = math.comb(cutoff + n_modes, n_modes)
-    if size > MAX_AMPLITUDES:
-        raise InfoCloneError(
-            f"C(cutoff+n_modes, n_modes) = {size} exceeds the {MAX_AMPLITUDES} amplitude budget"
-        )
-    return size
 
 
 def _squared(v: np.ndarray) -> np.ndarray:
@@ -106,7 +93,7 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
     # sums of unsigned 64-bit integers. The columns are written in this type:
     # an assignment that casts takes a 64 KB buffer.
     dtype = np.int16 if cutoff < 2**15 else np.int32
-    basis = np.empty((_state_size(n_modes, cutoff), n_modes), dtype=dtype)
+    basis = np.empty((math.comb(cutoff + n_modes, n_modes), n_modes), dtype=dtype)
     room = np.array([cutoff])
     for j in range(n_modes - 1):
         # each prefix branches into n = 0 .. room for the next mode
@@ -159,32 +146,25 @@ def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
 def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, float]:
     """The mode amplitudes as an array and their truncation tail at cutoff.
 
-    Refused over the amplitude budget or when the tail exceeds MAX_TAIL.
+    Refused for a cutoff below 1, over the amplitude budget or when the tail
+    exceeds MAX_TAIL.
     """
     amps = np.array([require_finite_complex(a, "amplitude") for a in amplitudes])
     if not amps.size:
         raise InfoCloneError("at least one mode amplitude is required")
-    _state_size(amps.size, cutoff)
+    if require_integer(cutoff, "cutoff") < 1:
+        raise InfoCloneError(f"cutoff must be >= 1, got {cutoff!r}")
+    size = math.comb(cutoff + amps.size, amps.size)
+    if size > MAX_AMPLITUDES:
+        raise InfoCloneError(
+            f"C(cutoff+n_modes, n_modes) = {size} exceeds the {MAX_AMPLITUDES} amplitude budget"
+        )
     tail = truncation_tail(amps, cutoff)
     if tail > MAX_TAIL:
         raise InfoCloneError(
             f"truncation tail P(Poisson(sum |a|^2) > {cutoff}) = {tail:.3g} exceeds {MAX_TAIL:.3g}"
         )
     return amps, tail
-
-
-def working_cutoff(amplitudes: Sequence[complex], cutoff: int) -> tuple[int, float]:
-    """The working cutoff K_w of a coherent product, and its truncation tail.
-
-    The guards and the tail are those at cutoff. Sector n holds
-    e^-mu mu^n / n! of the product's weight, with mu = sum_j |a_j|^2, and an
-    orthogonal transform keeps mu, so the predicted product weighs the same.
-    K_w is the smallest k <= cutoff above which sectors 0..cutoff hold at
-    most _NEGLIGIBLE of their weight, but at least 1, the smallest cutoff
-    :func:`overlap` takes. Nothing of size C(cutoff+m, m) is built.
-    """
-    amps, tail = _admitted(amplitudes, cutoff)
-    return max(_poisson_top(amps, cutoff), 1), tail
 
 
 def _poisson_top(amps: np.ndarray, cutoff: int) -> int:
@@ -284,28 +264,16 @@ def _bands(n_modes: int, top: int) -> list[tuple[int, int]]:
     return bands
 
 
-def _banded(basis: np.ndarray, cutoff: int, top: int):
-    """(band rows of the basis, highest sector) of each band of sectors 0..top of the basis at cutoff.
-
-    When one band is the whole basis, it is the basis itself: nothing is copied.
-    """
-    bands = _bands(basis.shape[1], top)
-    if bands == [(0, cutoff)]:
-        yield basis, cutoff
-        return
-    totals = basis.sum(axis=1, dtype=basis.dtype)
-    for lo, hi in bands:
-        yield basis[np.flatnonzero((totals >= lo) & (totals <= hi))], hi
-
-
 def _reduced_angle(config: CouplingConfig, n_modes: int) -> float:
     """R*t reduced to [-pi, pi], once config is checked against n_modes.
 
     A / (R*t) rotates the held mode into the mode B / R, so on the sector of
     n photons its eigenvalues are i*k with integer |k| <= n: the evolution
     has period 2*pi in R*t, and the reduction keeps its cost independent of
-    t. It is atan2(sin(R*t), cos(R*t)), as in :func:`~infoclone.transform.
-    build_transform`; a remainder by the float 2*pi would drift 4e-17 rad/rad.
+    t. It is atan2(sin(R*t), cos(R*t)) of config.angle, which carries the
+    rounding of fl(R)*t, about 2e-16 |R*t| rad. :func:`~infoclone.transform.
+    build_transform` takes the same rounded angle, so the oracle cannot
+    detect that error.
     """
     if len(config.couplings) + 1 != n_modes:
         raise InfoCloneError(
@@ -367,23 +335,27 @@ def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: Couplin
 
 def overlap(
     amplitudes: Sequence[complex], predicted: Sequence[complex], config: CouplingConfig, cutoff: int
-) -> tuple[float, float]:
-    """The evolved norm and the fidelity of an oracle check, with no state built.
+) -> tuple[float, float, float]:
+    """The evolved norm, the fidelity and the truncation tail of an oracle check at cutoff.
 
     The norm of exp(A) applied to the coherent product amplitudes truncated
-    at cutoff, and its squared overlap with the truncated product predicted:
-    each band of sectors 0..K' (K' from the input's Poisson sector weights)
-    is built, evolved and summed in turn.
+    at cutoff, and its squared overlap with the truncated product predicted.
+    The guards and the tail are those at cutoff; K' is taken there too, from
+    the input's Poisson sector weights, and each band of sectors 0..K' of
+    the basis at K' is built, evolved and summed in turn.
     """
-    amps, _ = _admitted(amplitudes, cutoff)
-    pred, _ = _admitted(predicted, cutoff)
+    amps, tail = _admitted(amplitudes, cutoff)
+    pred = np.asarray(predicted, dtype=complex)
     if pred.size != amps.size:
         raise InfoCloneError(f"{amps.size} input modes but {pred.size} predicted modes")
     angle = _reduced_angle(config, amps.size)
+    top = _poisson_top(amps, cutoff)
+    basis = _basis(amps.size, top)
+    totals = basis.sum(axis=1, dtype=basis.dtype)
     squares, inner = 0.0, 0j
-    basis = _basis(amps.size, cutoff)
-    for band, hi in _banded(basis, cutoff, _poisson_top(amps, cutoff)):
-        evolved = _evolve_band(band, _coherent(amps, cutoff, band), angle, config, hi)
+    for lo, hi in _bands(amps.size, top):
+        band = basis[np.flatnonzero((totals >= lo) & (totals <= hi))]
+        evolved = _evolve_band(band, _coherent(amps, top, band), angle, config, hi)
         squares += _squared(evolved).sum()
-        inner += np.sum(evolved.conj() * _coherent(pred, cutoff, band))
-    return math.sqrt(squares), float(abs(inner) ** 2)
+        inner += np.sum(evolved.conj() * _coherent(pred, top, band))
+    return math.sqrt(squares), float(abs(inner) ** 2), tail

@@ -597,7 +597,7 @@ for argv in (
     if argv[0] == "transform":
         assert "secrets" not in sys.modules
 # infoclone.fock is imported by its own name only
-for name in ("no_such_name", "overlap", "working_cutoff", "truncation_tail"):
+for name in ("no_such_name", "overlap", "truncation_tail"):
     assert_no_attribute(name)
 loaded["infoclone.no_such_name"] = modules()
 argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha", "0.3,0", "--cutoff", "10", "--out", os.devnull]

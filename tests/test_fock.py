@@ -16,6 +16,7 @@ from infoclone.errors import InfoCloneError
 from infoclone.fock import (
     MAX_AMPLITUDES,
     MAX_TAIL,
+    _admitted,
     _basis,
     _bessel_coefficients,
     _coherent,
@@ -23,7 +24,6 @@ from infoclone.fock import (
     _reduced_angle,
     overlap,
     truncation_tail,
-    working_cutoff,
 )
 from infoclone.estimation import clone_amplitude
 from infoclone.transform import CouplingConfig, StrategySpec, apply_transform, build_transform
@@ -44,6 +44,24 @@ def evolved(v, config, cutoff):
     """exp(A) v on the whole basis at cutoff, as one band."""
     n_modes = len(config.couplings) + 1
     return _evolve_band(_basis(n_modes, cutoff), v, _reduced_angle(config, n_modes), config, cutoff)
+
+
+def top_sector(amps, cutoff):
+    """K' of the coherent product amps at cutoff: the highest sector overlap evolves."""
+    return fock._poisson_top(np.asarray(amps, dtype=complex), cutoff)
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """The (n_modes, cutoff) of each basis fock builds while the test runs."""
+    calls = []
+
+    def spy(n_modes, cutoff):
+        calls.append((n_modes, cutoff))
+        return _basis(n_modes, cutoff)
+
+    monkeypatch.setattr(fock, "_basis", spy)
+    return calls
 
 
 def zero_time_fidelity(a, b, cutoff):
@@ -104,22 +122,21 @@ class TestCoherentVector:
         with pytest.raises(
             InfoCloneError, match=re.escape("truncation tail P(Poisson(sum |a|^2) > 4) = 0.945 exceeds 0.00025")
         ):
-            working_cutoff([3.0], 4)
+            _admitted([3.0], 4)
 
     def test_bad_cutoff(self):
         with pytest.raises(InfoCloneError, match="cutoff must be >= 1, got 0"):
-            working_cutoff([0.1], 0)
+            _admitted([0.1], 0)
 
     @pytest.mark.parametrize("cutoff", [3.0, 2.5, "3"])
     def test_cutoff_must_be_an_integer(self, cutoff):
         config = CouplingConfig([1.0], 0.5)
         with pytest.raises(InfoCloneError, match=re.escape(f"cutoff must be an integer, got {cutoff!r}")):
-            working_cutoff([0.1, 0.2], cutoff)
+            _admitted([0.1, 0.2], cutoff)
         with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
             overlap([0.1, 0.2], [0.1, 0.2], config, cutoff)
         with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
             truncation_tail([1.0], cutoff)
-        assert working_cutoff([0.1, 0.2], np.int64(3)) == working_cutoff([0.1, 0.2], 3)
         assert overlap([0.1, 0.2], [0.1, 0.2], config, np.int64(3)) == overlap([0.1, 0.2], [0.1, 0.2], config, 3)
 
 
@@ -142,7 +159,7 @@ class TestProductState:
     def test_size_guard(self):
         # C(203, 3) = 1373701 over budget; two modes at cutoff 1100 now fit
         with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 1373701 exceeds")):
-            working_cutoff([0.1, 0.1, 0.1], 200)
+            _admitted([0.1, 0.1, 0.1], 200)
         assert coherent([0.1, 0.1], 1100).size == math.comb(1102, 2)
 
     def test_index_order_first_mode_slowest(self):
@@ -186,14 +203,14 @@ class TestTruncationTail:
         # sum |a|^2 overflows the double range: refused, not an overflow error
         assert truncation_tail([1e200, 0.0], 5) == 1.0
         with pytest.raises(InfoCloneError, match="truncation tail"):
-            working_cutoff([1e200, 0.0], 5)
+            _admitted([1e200, 0.0], 5)
 
     def test_guard_sits_at_the_bound(self):
         # P(Poisson(2) > 8) = 2.37e-4 is kept, P(Poisson(2.1) > 8) = 3.4e-4 is not
         assert truncation_tail([math.sqrt(2.0)], 8) < MAX_TAIL
-        working_cutoff([1.0, 1.0], 8)
+        _admitted([1.0, 1.0], 8)
         with pytest.raises(InfoCloneError, match="truncation tail"):
-            working_cutoff([1.0, math.sqrt(1.1)], 8)
+            _admitted([1.0, math.sqrt(1.1)], 8)
 
 
 class TestBasis:
@@ -215,21 +232,12 @@ class TestBasis:
                 images.append(index[tuple(moved)])
             assert images == list(range(offset, len(basis)))
 
-    def test_built_once_per_oracle_run(self, monkeypatch, tmp_path):
-        with pytest.raises(InfoCloneError, match="cutoff must be an integer"):
-            _basis(3, 10.0)
-        # an oracle run builds one basis: every band of the input, its
+    def test_built_once_per_oracle_run(self, basis_calls, tmp_path):
+        # an oracle run builds one basis, at K': every band of the input, its
         # evolution and the prediction is taken from it
-        calls = []
-
-        def spy(n_modes, cutoff):
-            calls.append((n_modes, cutoff))
-            return _basis(n_modes, cutoff)
-
-        monkeypatch.setattr(fock, "_basis", spy)
         argv = ["oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=0.5,0", "--cutoff", "12"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        assert calls == [(3, working_cutoff([0.5, 0.0, 0.0], 12)[0])]
+        assert basis_calls == [(3, top_sector([0.5, 0.0, 0.0], 12))]
 
     def test_built_in_little_more_than_its_size(self):
         # the columns are written in the basis type: no full-size int64
@@ -250,10 +258,6 @@ class TestBasis:
         wide = _basis(1, 2**15)
         assert wide.dtype == np.int32
         np.testing.assert_array_equal(wide[:, 0], np.arange(2**15 + 1))
-        # the bands' sector totals are summed in the wide type too: the top
-        # row, sector 2**15, lands in the last band
-        band, top = list(fock._banded(wide, 2**15, 2**15))[-1]
-        assert top == band[-1, 0] == 2**15
 
 
 class TestBesselCoefficients:
@@ -435,10 +439,10 @@ class TestSectorBound:
     def test_kept_rows_are_the_smaller_basis(self, n_modes, cutoff, top):
         basis = _basis(n_modes, cutoff)
         kept = basis[basis.sum(axis=1) <= top]
-        # cutoff 0 is refused as an input: its basis is the vacuum row alone
-        np.testing.assert_array_equal(kept, _basis(n_modes, top) if top else np.zeros((1, n_modes)))
+        # at K' = 0 the basis is the vacuum row alone
+        np.testing.assert_array_equal(kept, _basis(n_modes, top))
 
-    def test_cost_follows_the_input(self, monkeypatch, tmp_path):
+    def test_cost_follows_the_input(self, monkeypatch, basis_calls, tmp_path):
         rhos = []
 
         def spy(rho):
@@ -455,9 +459,18 @@ class TestSectorBound:
         rhos.clear()
         config = CouplingConfig([0.8, -0.6], 0.7)
         amps = [1.0, 1.0, 0.7]
-        assert working_cutoff(amps, 10)[0] == 10
+        assert top_sector(amps, 10) == 10
         overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * 10]
+        # K' is taken once, at the cutoff asked for: at cutoff 59 the weight
+        # above sector 57 is not negligible, so the one basis is built at 58
+        # and its last band is evolved at rho = 58, not 57
+        rhos.clear()
+        basis_calls.clear()
+        edge = ["oracle", "--couplings", "1", "--time", "1", "--alpha=2.55,0", "--cutoff", "59"]
+        assert main([*edge, "--out", str(tmp_path / "report.json")]) == 0
+        assert basis_calls == [(2, 58)]
+        assert rhos[-1] == 58.0
         # in bands of at most 64 rows, each band takes rho = |R*t| times its
         # highest sector, and the last one |R*t| * K'. A band closes before
         # the next sector would take it past its share: 300 / 5 = 60 rows for
@@ -471,9 +484,11 @@ class TestSectorBound:
         overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * k for k in (5, 6, 7, 8, 9, 10)]
 
-    def test_vacuum_is_returned_exactly(self):
-        # K' = 0 at cutoff 8: the vacuum row alone is evolved, by no term
-        assert overlap([0.0] * 3, [0.0] * 3, CouplingConfig([0.7, -1.1], 1.3), 8) == (1.0, 1.0)
+    def test_vacuum_is_returned_exactly(self, basis_calls):
+        # K' = 0 at cutoff 8: one basis of the vacuum row alone is built, and
+        # that row is evolved by no term
+        assert overlap([0.0] * 3, [0.0] * 3, CouplingConfig([0.7, -1.1], 1.3), 8) == (1.0, 1.0, 0.0)
+        assert basis_calls == [(3, 0)]
 
     def test_zero_vector_stays_zero(self):
         zero = np.zeros(math.comb(11, 3), dtype=complex)
@@ -484,10 +499,11 @@ class TestSectorBound:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_working_cutoff_is_the_top_sector(self, seed):
-        # K_w, from the Poisson sector weights alone, is the K' of the state
+        # K', from the Poisson sector weights alone, is that of the state
         # built at the cutoff asked for, found from its weight by row total;
         # the draws put sum |a|^2 between 1e-3 and half the largest cutoff the
-        # budget admits, so that K_w < cutoff in 25 of the 40 cases
+        # budget admits, so that K' < cutoff in 25 of the 40 cases. overlap
+        # returns the tail at the cutoff asked for.
         rng = np.random.default_rng(seed)
         n_modes = int(rng.integers(2, 5))
         largest = max(k for k in range(1, 201) if math.comb(k + n_modes, n_modes) <= MAX_AMPLITUDES)
@@ -499,16 +515,14 @@ class TestSectorBound:
         weights = np.abs(_coherent(np.asarray(amps), cutoff, basis)) ** 2
         sectors = np.bincount(basis.sum(axis=1), weights=weights, minlength=cutoff + 1)
         top = next(k for k in range(cutoff + 1) if sectors[k + 1 :].sum() <= 1e-34 * sectors.sum())
-        assert working_cutoff(amps, cutoff) == (max(top, 1), truncation_tail(amps, cutoff))
-
-    def test_vacuum_working_cutoff_is_one(self):
-        # K' = 0, but overlap takes a cutoff of at least 1
+        assert top_sector(amps, cutoff) == top
+        config = CouplingConfig([1.0] * (n_modes - 1), 0.0)
+        assert overlap(amps, amps, config, cutoff)[2] == truncation_tail(amps, cutoff)
         assert fock._poisson_top(np.zeros(3), 8) == 0
-        assert working_cutoff([0.0, 0.0, 0.0], 8) == (1, 0.0)
 
     def test_oracle_run_is_sized_by_its_input(self, tmp_path):
         # the deepest one-ancilla run the budget admits builds nothing of its
-        # 998,991 states: every state lives at K_w = 23. The guards and the
+        # 998,991 states: every state lives at K' = 23. The guards and the
         # report still read the cutoff asked for.
         out = tmp_path / "report.json"
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1412", "--out", str(out)]
@@ -521,8 +535,8 @@ class TestSectorBound:
         assert peak <= 4 * 2**20
         report = json.loads(out.read_text())
         assert report["state_size"] == 998_991
-        assert working_cutoff([0.6, 0.0], 1412)[0] == 23
-        # the tail at 1412 underflows to 0; the one at K_w does not
+        assert top_sector([0.6, 0.0], 1412) == 23
+        # the tail at 1412 underflows to 0; the one at K' does not
         assert report["truncation_tail"] == truncation_tail([0.6, 0.0], 1412) == 0.0
         assert truncation_tail([0.6, 0.0], 23) > 0.0
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0,0", "--cutoff", "5", "--out", str(out)]
@@ -532,12 +546,12 @@ class TestSectorBound:
 
     @staticmethod
     def traced_peak_of_filled_run(tmp_path, couplings, time, alpha, beta, cutoff):
-        """The traced peak of an oracle run whose input fills its cutoff (K_w = K)."""
+        """The traced peak of an oracle run whose input fills its cutoff (K' = K)."""
         argv = [
             "oracle", "--couplings", couplings, "--time", repr(time), f"--alpha={alpha.real!r},{alpha.imag!r}",
             f"--beta={beta.real!r},{beta.imag!r}", "--cutoff", str(cutoff), "--out", str(tmp_path / "report.json"),
         ]
-        assert working_cutoff([alpha, beta, beta], cutoff)[0] == cutoff
+        assert top_sector([alpha, beta, beta], cutoff) == cutoff
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -546,7 +560,7 @@ class TestSectorBound:
             tracemalloc.stop()
 
     def test_oracle_run_that_fills_its_cutoff(self, tmp_path):
-        # K_w = K = 60, 39,711 rows: only the basis and its rows' sector
+        # K' = K = 60, 39,711 rows: only the basis and its rows' sector
         # totals grow with the input, the states are built, evolved and
         # summed one band at a time, so the run traces at most 40 B a row
         # (about 170 when evolve held its move tables and recurrence vectors
@@ -556,7 +570,7 @@ class TestSectorBound:
         assert peak <= 40 * math.comb(63, 3)
 
     def test_oracle_run_that_fills_a_deep_cutoff(self, tmp_path):
-        # K_w = K = 99, 171,700 rows: at most 20 B a row (55 when the run
+        # K' = K = 99, 171,700 rows: at most 20 B a row (55 when the run
         # built its states whole)
         peak = self.traced_peak_of_filled_run(tmp_path, "1,1", 1.0, 4 + 2j, 2 + 1j, 99)
         assert peak <= 20 * math.comb(102, 3)
@@ -570,9 +584,9 @@ class TestOverlap:
     @pytest.mark.parametrize("band_rows", [fock._BAND_ROWS, 16])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_library_path(self, monkeypatch, band_rows, seed):
-        # 1 to 3 ancillas, sum |a|^2 between 0.05 and 1, at the working
-        # cutoff; at the module's band size the 1- and 2-ancilla states fit
-        # one band, at 16 rows every state spans many
+        # 1 to 3 ancillas, sum |a|^2 between 0.05 and 1, at cutoff 40; at the
+        # module's band size the 1- and 2-ancilla states fit one band, at 16
+        # rows every state spans many
         default_rows = fock._BAND_ROWS
         rhos = []
 
@@ -589,29 +603,24 @@ class TestOverlap:
         z = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
         amps = list(z * math.sqrt(10.0 ** rng.uniform(-1.3, 0.0)) / np.linalg.norm(z))
         predicted = apply_transform(build_transform(config), amps)
-        cutoff = working_cutoff(amps, 40)[0]
-        evolved_norm, fid = overlap(amps, predicted, config, cutoff)
+        top = top_sector(amps, 40)
+        evolved_norm, fid, _ = overlap(amps, predicted, config, 40)
         # each band with its own series, of rho = |R*t| * its highest sector
         angle = abs(_reduced_angle(config, n_modes))
-        assert rhos == [angle * hi for _, hi in fock._bands(n_modes, cutoff)]
-        if len(_basis(n_modes, cutoff)) <= band_rows:
+        assert rhos == [angle * hi for _, hi in fock._bands(n_modes, top)]
+        if len(_basis(n_modes, top)) <= band_rows:
             assert len(rhos) == 1
         else:
             assert len(rhos) >= 3
         # the band size changes only the order of the sums
         monkeypatch.setattr(fock, "_BAND_ROWS", default_rows)
-        assert overlap(amps, predicted, config, cutoff) == pytest.approx((evolved_norm, fid), rel=0, abs=1e-15)
+        assert overlap(amps, predicted, config, 40)[:2] == pytest.approx((evolved_norm, fid), rel=0, abs=1e-15)
         # against the dense exponential, on the bases small enough for it:
         # seeds 0, 1 and 3, of 276, 969 and 231 rows
-        if math.comb(cutoff + n_modes, n_modes) <= 1000:
-            out = expm(dense_generator(config.couplings, config.time, cutoff)) @ coherent(amps, cutoff)
+        if math.comb(top + n_modes, n_modes) <= 1000:
+            out = expm(dense_generator(config.couplings, config.time, top)) @ coherent(amps, top)
             assert abs(evolved_norm - np.linalg.norm(out)) <= 1e-12
-            assert abs(fid - abs(np.vdot(coherent(predicted, cutoff), out)) ** 2) <= 1e-12
-
-    def test_vacuum_is_exact(self):
-        # K' = 0 at the working cutoff 1: the vacuum row alone is evolved
-        config = CouplingConfig([0.7, -1.1], 1.3)
-        assert overlap([0.0] * 3, [0.0] * 3, config, working_cutoff([0.0] * 3, 8)[0]) == (1.0, 1.0)
+            assert abs(fid - abs(np.vdot(coherent(predicted, top), out)) ** 2) <= 1e-12
 
     def test_mode_counts_must_agree(self):
         config = CouplingConfig([0.7, -1.1], 1.3)
