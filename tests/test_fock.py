@@ -622,6 +622,13 @@ class TestOverlap:
             assert abs(evolved_norm - np.linalg.norm(out)) <= 1e-12
             assert abs(fid - abs(np.vdot(coherent(predicted, top), out)) ** 2) <= 1e-12
 
+    def test_vacuum_is_exact(self):
+        # K' = 0 at any cutoff: the vacuum row alone is evolved, and no
+        # weight lies above it
+        config = CouplingConfig([0.7, -1.1], 1.3)
+        for cutoff in (1, 8, 40):
+            assert overlap([0.0] * 3, [0.0] * 3, config, cutoff) == (1.0, 1.0, 0.0)
+
     def test_mode_counts_must_agree(self):
         config = CouplingConfig([0.7, -1.1], 1.3)
         with pytest.raises(InfoCloneError, match="predicted modes"):
