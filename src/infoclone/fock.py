@@ -92,7 +92,7 @@ def _basis(n_modes: int, cutoff: int) -> np.ndarray:
     # every entry is at most the cutoff; signed, since np.bincount refuses
     # sums of unsigned 64-bit integers. The columns are written in this type:
     # an assignment that casts takes a 64 KB buffer.
-    dtype = np.int16 if cutoff < 2**15 else np.int32
+    dtype = np.int16  # an oracle's cutoff is at most 1412: C(1414, 2) <= 10^6 < C(1415, 2)
     basis = np.empty((math.comb(cutoff + n_modes, n_modes), n_modes), dtype=dtype)
     room = np.array([cutoff])
     for j in range(n_modes - 1):

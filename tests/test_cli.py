@@ -564,14 +564,25 @@ def test_module_entry_point(tmp_path):
     assert json.loads(out.read_text())["command"] == "transform"
 
 
-# Prints, as one JSON object, the infoclone and scipy modules loaded after
-# each step; the other checks raise in the child. secrets pulls in hashlib
-# and OpenSSL, which neither the CLI nor --randomize needs.
+# Prints, as one JSON object, the modules loaded after each step: infoclone's,
+# and any third-party one other than numpy; the other checks raise in the
+# child. Only modules loaded since the child started count, so what .pth
+# files preload does not, and neither do the spec-less modules numpy's
+# Cython extensions register. secrets pulls in hashlib and OpenSSL, which
+# neither the CLI nor --randomize needs.
 _IMPORT_BOUNDARY = """
-import json, os, sys
+import sys
+start = set(sys.modules)
+import json, os
+
+allowed = sys.stdlib_module_names | {"infoclone", "numpy"}
 
 def modules():
-    return sorted(n for n in sys.modules if n.split(".")[0] in ("infoclone", "scipy"))
+    return sorted(
+        n for n, module in sys.modules.items()
+        if n.split(".")[0] == "infoclone"
+        or (n not in start and getattr(module, "__spec__", None) is not None and n.split(".")[0] not in allowed)
+    )
 
 def assert_no_attribute(name):
     try:
@@ -608,9 +619,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_no_command_imports_scipy():
-    # scipy is a test dependency only; the campaigns load the pipeline's
-    # modules and no others, and oracle adds infoclone.fock alone
+def test_no_command_imports_a_third_party_module_but_numpy():
+    # the campaigns load the pipeline's modules and, outside the stdlib,
+    # numpy alone; oracle adds infoclone.fock and nothing else
     proc = _fresh_python("-c", _IMPORT_BOUNDARY)
     assert proc.returncode == 0, proc.stderr
     package = ["infoclone", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]

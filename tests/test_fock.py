@@ -7,8 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
-from scipy.special import jv
 
 from infoclone import fock
 from infoclone.cli import main
@@ -27,6 +25,7 @@ from infoclone.fock import (
 )
 from infoclone.estimation import clone_amplitude
 from infoclone.transform import CouplingConfig, StrategySpec, apply_transform, build_transform
+from reference import bessel_j, bessel_j_exact, expm_antisymmetric
 
 
 def coherent(amps, cutoff):
@@ -253,26 +252,28 @@ class TestBasis:
         assert peak <= 2.5 * basis.nbytes
 
     def test_compact_dtype(self):
-        # the entries fit the narrowest signed type that holds the cutoff
-        assert _basis(3, 10).dtype == np.int16
-        wide = _basis(1, 2**15)
-        assert wide.dtype == np.int32
-        np.testing.assert_array_equal(wide[:, 0], np.arange(2**15 + 1))
+        # an oracle has two modes at least, so the amplitude budget admits
+        # cutoffs up to 1412, whose entries int16 holds
+        widest = _basis(2, 1412)
+        assert widest.dtype == np.int16
+        np.testing.assert_array_equal(widest[[1412, -1]], [[0, 1412], [1412, 0]])
+        with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 1000405 exceeds")):
+            _admitted([0.1, 0.1], 1413)
 
 
 class TestBesselCoefficients:
     # pi * 1412 is the largest rho = |R*t| * cutoff within the amplitude
     # budget: one ancilla at cutoff 1412
     @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.5, 47.0, 1000.0, 3200.0, math.pi * 1412])
-    def test_match_scipy(self, rho):
+    def test_match_reference(self, rho):
         coeffs = _bessel_coefficients(rho)
         n = len(coeffs)
         assert n > rho
         # the series stops where the rest is below 1e-17
-        assert abs(jv(n, rho)) < 1e-17
-        # jv's own error grows with rho (4e-14 at 3200 against a 40-digit
-        # reference, which these coefficients match to 1e-16)
-        np.testing.assert_allclose(coeffs, jv(np.arange(n), rho), rtol=0, atol=2e-16 * max(1.0, rho))
+        assert abs(bessel_j_exact(n, rho)) < 1e-17
+        # the FFT reference's own error grows with rho, as its phases
+        # rho*sin(phi) are rounded to about 1e-16*rho (2.5e-14 at pi*1412)
+        np.testing.assert_allclose(coeffs, bessel_j(rho)[:n], rtol=0, atol=2e-16 * max(1.0, rho))
 
 
 # couplings, R*t and cutoff of the checks against the dense exponential
@@ -304,7 +305,8 @@ class TestEvolve:
         time = angle / math.hypot(*couplings)
         v = dense_input(couplings, cutoff)
         out = evolved(v, CouplingConfig(couplings, time), cutoff)
-        np.testing.assert_allclose(out, expm(dense_generator(couplings, time, cutoff)) @ v, rtol=0, atol=1e-12)
+        propagator = expm_antisymmetric(dense_generator(couplings, time, cutoff))
+        np.testing.assert_allclose(out, propagator @ v, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("couplings, angle, cutoff", DENSE_CASES)
     def test_matches_dense_exponential_in_bands(self, monkeypatch, couplings, angle, cutoff):
@@ -322,7 +324,7 @@ class TestEvolve:
         for lo, hi in bands:
             rows = np.flatnonzero((totals >= lo) & (totals <= hi))
             out[rows] = _evolve_band(basis[rows], v[rows], _reduced_angle(config, n_modes), config, hi)
-        propagator = expm(dense_generator(couplings, config.time, cutoff))
+        propagator = expm_antisymmetric(dense_generator(couplings, config.time, cutoff))
         np.testing.assert_allclose(out, propagator @ v, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -618,7 +620,7 @@ class TestOverlap:
         # against the dense exponential, on the bases small enough for it:
         # seeds 0, 1 and 3, of 276, 969 and 231 rows
         if math.comb(top + n_modes, n_modes) <= 1000:
-            out = expm(dense_generator(config.couplings, config.time, top)) @ coherent(amps, top)
+            out = expm_antisymmetric(dense_generator(config.couplings, config.time, top)) @ coherent(amps, top)
             assert abs(evolved_norm - np.linalg.norm(out)) <= 1e-12
             assert abs(fid - abs(np.vdot(coherent(predicted, top), out)) ** 2) <= 1e-12
 

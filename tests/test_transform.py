@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from infoclone.errors import InfoCloneError
 from infoclone.transform import (
@@ -14,16 +13,7 @@ from infoclone.transform import (
     build_transform,
     orthogonality_residual,
 )
-
-
-def generator_exponential(couplings, time):
-    """Independent oracle: numerical exponential of the antisymmetric generator."""
-    r = np.asarray(couplings, dtype=float)
-    n = r.size
-    g = np.zeros((n + 1, n + 1))
-    g[0, 1:] = time * r
-    g[1:, 0] = -time * r
-    return expm(g)
+from reference import generator_exponential
 
 
 def random_config(rng, max_modes=8):
