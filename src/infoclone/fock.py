@@ -28,14 +28,12 @@ A coherent product's sector weights are Poisson(sum_j |a_j|^2), and each
 sector evolves on its own. :func:`overlap`, the one entry point, applies the
 guards at the cutoff asked for and finds there, in closed form, K': the
 smallest sector above which the input holds at most (1e-17 |v|)^2 of its
-weight, the error the series already accepts. It builds one basis, at K',
-and no state: it takes sectors 0..K' in bands of whole, consecutive sectors,
-with at most _BAND_ROWS rows in a band unless one sector is larger, and for
-each band builds the input and the prediction on the band's rows, evolves
-the input and sums. Only the basis and its rows' sector totals grow with the
-input. Norms and overlaps are ufunc sums, not BLAS calls: the first BLAS
-call on a vector of this length wakes OpenBLAS's worker thread, which then
-spins through the rest of the run.
+weight, the error the series already accepts. It takes sectors 0..K' in
+bands of whole, consecutive sectors, of at most _BAND_ROWS rows unless one
+sector is larger, builds each band's rows and the input and the prediction
+on them, evolves the input and sums: no basis or state is built whole. Norms
+and overlaps are ufunc sums, not BLAS calls: the first BLAS call on a long
+vector wakes OpenBLAS's worker thread, which spins until the run ends.
 """
 
 from __future__ import annotations
@@ -81,36 +79,40 @@ def _branch(room: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _basis(n_modes: int, cutoff: int) -> np.ndarray:
-    """Every occupation with total <= cutoff, one per row, in basis order.
+def _rows(n_modes: int, lo: int, hi: int) -> np.ndarray:
+    """Every occupation with total in lo..hi, one per row, in basis order.
 
     Each column is written once, into the final array: the prefixes
     (n_1, ..., n_j) are enumerated mode by mode, and each fills the
-    C(room + rest, rest) consecutive rows that complete it, room being the
-    photons it leaves and rest the modes after it.
+    C(room + rest, rest) - C(room - (hi - lo) - 1 + rest, rest) consecutive
+    rows that complete it, room being the photons it leaves below hi and
+    rest the modes after it.
     """
-    # every entry is at most the cutoff; signed, since np.bincount refuses
-    # sums of unsigned 64-bit integers. The columns are written in this type:
-    # an assignment that casts takes a 64 KB buffer.
+    # every entry is at most hi; signed, since np.bincount refuses sums of
+    # unsigned 64-bit integers. The columns are written in this type: an
+    # assignment that casts takes a 64 KB buffer.
     dtype = np.int16  # an oracle's cutoff is at most 1412: C(1414, 2) <= 10^6 < C(1415, 2)
-    basis = np.empty((math.comb(cutoff + n_modes, n_modes), n_modes), dtype=dtype)
-    room = np.array([cutoff])
+    width = hi - lo
+    size = math.comb(hi + n_modes, n_modes) - math.comb(lo - 1 + n_modes, n_modes)
+    rows = np.empty((size, n_modes), dtype=dtype)
+    room = np.array([hi])
     for j in range(n_modes - 1):
         # each prefix branches into n = 0 .. room for the next mode
         n = _branch(room)
         room = np.repeat(room, room + 1) - n
         rest = n_modes - 1 - j
-        completions = np.array([math.comb(r + rest, rest) for r in range(cutoff + 1)])
-        basis[:, j] = np.repeat(n.astype(dtype), completions[room])
-    # the last mode completes each prefix alone, one row per n: steps of +1,
-    # and at each prefix but the first a step back by the room of the one
-    # before, summed in place in the basis type
-    last = basis[:, -1]
+        counts = [math.comb(r + rest, rest) - math.comb(max(r - width - 1 + rest, 0), rest) for r in range(hi + 1)]
+        rows[:, j] = np.repeat(n.astype(dtype), np.array(counts)[room])
+    # the last mode completes each prefix alone, one row per n from
+    # max(0, room - (hi - lo)) to room: steps of +1, and at each prefix but the
+    # first a step from the room of the one before, summed in place in the row type
+    first = np.maximum(room - width, 0)
+    last = rows[:, -1]
     last[:] = 1
-    last[0] = 0
-    last[np.cumsum(room[:-1] + 1)] = -room[:-1]
+    last[0] = first[0]
+    last[np.cumsum(room[:-1] - first[:-1] + 1)] = first[1:] - room[:-1]
     np.cumsum(last, out=last)
-    return basis
+    return rows
 
 
 def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
@@ -186,7 +188,7 @@ def _poisson_top(amps: np.ndarray, cutoff: int) -> int:
 
 
 def _coherent(amps: np.ndarray, cutoff: int, basis: np.ndarray) -> np.ndarray:
-    """The product of coherent states amps on the given rows of the basis at cutoff.
+    """The product of coherent states amps on the given rows, of totals at most cutoff.
 
     Mode j contributes c_n = exp(-|a_j|^2 / 2) a_j^n / sqrt(n!) at its
     occupation n.
@@ -341,8 +343,8 @@ def overlap(
     The norm of exp(A) applied to the coherent product amplitudes truncated
     at cutoff, and its squared overlap with the truncated product predicted.
     The guards and the tail are those at cutoff; K' is taken there too, from
-    the input's Poisson sector weights, and each band of sectors 0..K' of
-    the basis at K' is built, evolved and summed in turn.
+    the input's Poisson sector weights, and the rows of each band of sectors
+    0..K' are built, evolved and summed in turn.
     """
     amps, tail = _admitted(amplitudes, cutoff)
     pred = np.asarray(predicted, dtype=complex)
@@ -350,12 +352,10 @@ def overlap(
         raise InfoCloneError(f"{amps.size} input modes but {pred.size} predicted modes")
     angle = _reduced_angle(config, amps.size)
     top = _poisson_top(amps, cutoff)
-    basis = _basis(amps.size, top)
-    totals = basis.sum(axis=1, dtype=basis.dtype)
     squares, inner = 0.0, 0j
     for lo, hi in _bands(amps.size, top):
-        band = basis[np.flatnonzero((totals >= lo) & (totals <= hi))]
-        evolved = _evolve_band(band, _coherent(amps, top, band), angle, config, hi)
+        rows = _rows(amps.size, lo, hi)
+        evolved = _evolve_band(rows, _coherent(amps, top, rows), angle, config, hi)
         squares += _squared(evolved).sum()
-        inner += np.sum(evolved.conj() * _coherent(pred, top, band))
+        inner += np.sum(evolved.conj() * _coherent(pred, top, rows))
     return math.sqrt(squares), float(abs(inner) ** 2), tail

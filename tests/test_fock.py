@@ -15,11 +15,11 @@ from infoclone.fock import (
     MAX_AMPLITUDES,
     MAX_TAIL,
     _admitted,
-    _basis,
     _bessel_coefficients,
     _coherent,
     _evolve_band,
     _reduced_angle,
+    _rows,
     overlap,
     truncation_tail,
 )
@@ -31,7 +31,7 @@ from reference import bessel_j, bessel_j_exact, expm_antisymmetric
 def coherent(amps, cutoff):
     """The coherent product of amps on the whole basis at cutoff."""
     amps = np.asarray(amps, dtype=complex)
-    return _coherent(amps, cutoff, _basis(amps.size, cutoff))
+    return _coherent(amps, cutoff, _rows(amps.size, 0, cutoff))
 
 
 def coherent_vector(alpha, cutoff):
@@ -42,7 +42,7 @@ def coherent_vector(alpha, cutoff):
 def evolved(v, config, cutoff):
     """exp(A) v on the whole basis at cutoff, as one band."""
     n_modes = len(config.couplings) + 1
-    return _evolve_band(_basis(n_modes, cutoff), v, _reduced_angle(config, n_modes), config, cutoff)
+    return _evolve_band(_rows(n_modes, 0, cutoff), v, _reduced_angle(config, n_modes), config, cutoff)
 
 
 def top_sector(amps, cutoff):
@@ -51,16 +51,26 @@ def top_sector(amps, cutoff):
 
 
 @pytest.fixture
-def basis_calls(monkeypatch):
-    """The (n_modes, cutoff) of each basis fock builds while the test runs."""
+def rows_calls(monkeypatch):
+    """The (n_modes, lo, hi) of each set of rows fock builds while the test runs."""
     calls = []
 
-    def spy(n_modes, cutoff):
-        calls.append((n_modes, cutoff))
-        return _basis(n_modes, cutoff)
+    def spy(n_modes, lo, hi):
+        calls.append((n_modes, lo, hi))
+        return _rows(n_modes, lo, hi)
 
-    monkeypatch.setattr(fock, "_basis", spy)
+    monkeypatch.setattr(fock, "_rows", spy)
     return calls
+
+
+def band_calls(n_modes, top):
+    """The _rows calls of an oracle run at K' = top: one per band, in band order."""
+    return [(n_modes, lo, hi) for lo, hi in fock._bands(n_modes, top)]
+
+
+# The traced peak of an oracle run, whatever its K': it holds one band's rows,
+# states and move tables at a time, and no array sized by sectors 0..K'
+ORACLE_TRACED_PEAK = 1_588_000
 
 
 def zero_time_fidelity(a, b, cutoff):
@@ -212,51 +222,77 @@ class TestTruncationTail:
             _admitted([1.0, math.sqrt(1.1)], 8)
 
 
+BASIS_GRID = [(2, 1), (2, 9), (3, 6), (4, 5), (5, 3), (7, 2)]
+
+
 class TestBasis:
-    @pytest.mark.parametrize("n_modes, cutoff", [(2, 1), (2, 9), (3, 6), (4, 5), (5, 3), (7, 2)])
+    @pytest.mark.parametrize("n_modes, cutoff", BASIS_GRID)
+    def test_rows_of_a_band(self, n_modes, cutoff):
+        # the rows of totals lo..hi are the brute-force basis at cutoff with
+        # the other totals left out, in the same order
+        every = occupations(n_modes, cutoff)
+        for lo in range(cutoff + 1):
+            for hi in range(lo, cutoff + 1):
+                rows = _rows(n_modes, lo, hi)
+                assert rows.dtype == np.int16
+                assert [tuple(row) for row in rows] == [occ for occ in every if lo <= sum(occ) <= hi]
+
+    @pytest.mark.parametrize("n_modes, cutoff", BASIS_GRID)
     def test_moves_land_on_the_suffix(self, n_modes, cutoff):
         # the move (n_held, n_j) -> (n_held + 1, n_j - 1) sends the rows with
-        # n_j >= 1, in basis order, onto the last C(cutoff-1+m, m) rows
-        basis = _basis(n_modes, cutoff)
-        assert [tuple(row) for row in basis] == occupations(n_modes, cutoff)
-        index = {tuple(row): i for i, row in enumerate(basis)}
-        offset = len(basis) - math.comb(cutoff - 1 + n_modes, n_modes)
-        assert all(row[0] >= 1 for row in basis[offset:]) and all(row[0] == 0 for row in basis[:offset])
-        for j in range(1, n_modes):
-            images = []
-            for row in basis[basis[:, j] >= 1]:
-                moved = list(row)
-                moved[0] += 1
-                moved[j] -= 1
-                images.append(index[tuple(moved)])
-            assert images == list(range(offset, len(basis)))
+        # n_j >= 1, in basis order, onto the rows with n_held >= 1, which come
+        # last: on the whole basis, the last C(cutoff-1+m, m) rows, and inside
+        # every band of totals lo..hi too, since a move keeps the total
+        assert np.count_nonzero(_rows(n_modes, 0, cutoff)[:, 0]) == math.comb(cutoff - 1 + n_modes, n_modes)
+        for lo in range(cutoff + 1):
+            for hi in range(lo, cutoff + 1):
+                rows = _rows(n_modes, lo, hi)
+                index = {tuple(row): i for i, row in enumerate(rows)}
+                offset = len(rows) - np.count_nonzero(rows[:, 0])
+                assert all(row[0] >= 1 for row in rows[offset:]) and all(row[0] == 0 for row in rows[:offset])
+                for j in range(1, n_modes):
+                    images = []
+                    for row in rows[rows[:, j] >= 1]:
+                        moved = list(row)
+                        moved[0] += 1
+                        moved[j] -= 1
+                        images.append(index[tuple(moved)])
+                    assert images == list(range(offset, len(rows)))
 
-    def test_built_once_per_oracle_run(self, basis_calls, tmp_path):
-        # an oracle run builds one basis, at K': every band of the input, its
-        # evolution and the prediction is taken from it
+    def test_built_once_per_oracle_run(self, rows_calls, tmp_path):
+        # an oracle run builds the rows of each band of sectors 0..K' once,
+        # and the band's input, evolution and prediction all use them
         argv = ["oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=0.5,0", "--cutoff", "12"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        assert basis_calls == [(3, top_sector([0.5, 0.0, 0.0], 12))]
+        assert rows_calls == band_calls(3, top_sector([0.5, 0.0, 0.0], 12))
+        rows_calls.clear()
+        # one ancilla at --alpha=12,0: K' = 314 in 14 bands, each built once
+        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=12,0", "--cutoff", "1412"]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert rows_calls == band_calls(2, 314) and len(rows_calls) == 14
 
     def test_built_in_little_more_than_its_size(self):
-        # the columns are written in the basis type: no full-size int64
-        # intermediate, so the build peaks below 2.5 times the basis
+        # the columns are written in the row type: no full-size int64
+        # intermediate, so the build peaks below 2.5 times the rows
         # (about 4 times while the last column was built in int64)
         tracemalloc.start()
         try:
-            basis = _basis(3, 60)
+            rows = _rows(3, 0, 60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert basis.nbytes == 6 * math.comb(63, 3)
-        assert peak <= 2.5 * basis.nbytes
+        assert rows.nbytes == 6 * math.comb(63, 3)
+        assert peak <= 2.5 * rows.nbytes
 
     def test_compact_dtype(self):
         # an oracle has two modes at least, so the amplitude budget admits
         # cutoffs up to 1412, whose entries int16 holds
-        widest = _basis(2, 1412)
+        widest = _rows(2, 0, 1412)
         assert widest.dtype == np.int16
-        np.testing.assert_array_equal(widest[[1412, -1]], [[0, 1412], [1412, 0]])
+        np.testing.assert_array_equal(widest[[0, 1412, -1]], [[0, 0], [0, 1412], [1412, 0]])
+        top = _rows(2, 1412, 1412)
+        assert top.dtype == np.int16 and len(top) == 1413
+        np.testing.assert_array_equal(top[[0, -1]], [[0, 1412], [1412, 0]])
         with pytest.raises(InfoCloneError, match=re.escape("C(cutoff+n_modes, n_modes) = 1000405 exceeds")):
             _admitted([0.1, 0.1], 1413)
 
@@ -315,7 +351,7 @@ class TestEvolve:
         monkeypatch.setattr(fock, "_BAND_ROWS", 16)
         n_modes = len(couplings) + 1
         config = CouplingConfig(couplings, angle / math.hypot(*couplings))
-        basis = _basis(n_modes, cutoff)
+        basis = _rows(n_modes, 0, cutoff)
         totals = basis.sum(axis=1)
         v = dense_input(couplings, cutoff)
         out = np.full_like(v, np.nan)
@@ -323,7 +359,9 @@ class TestEvolve:
         assert len(bands) >= 3
         for lo, hi in bands:
             rows = np.flatnonzero((totals >= lo) & (totals <= hi))
-            out[rows] = _evolve_band(basis[rows], v[rows], _reduced_angle(config, n_modes), config, hi)
+            band = _rows(n_modes, lo, hi)
+            np.testing.assert_array_equal(band, basis[rows])
+            out[rows] = _evolve_band(band, v[rows], _reduced_angle(config, n_modes), config, hi)
         propagator = expm_antisymmetric(dense_generator(couplings, config.time, cutoff))
         np.testing.assert_allclose(out, propagator @ v, rtol=0, atol=1e-12)
 
@@ -439,12 +477,12 @@ class TestSectorBound:
 
     @pytest.mark.parametrize("n_modes, cutoff, top", [(2, 10, 0), (3, 12, 5), (4, 8, 8), (5, 6, 2)])
     def test_kept_rows_are_the_smaller_basis(self, n_modes, cutoff, top):
-        basis = _basis(n_modes, cutoff)
+        basis = _rows(n_modes, 0, cutoff)
         kept = basis[basis.sum(axis=1) <= top]
         # at K' = 0 the basis is the vacuum row alone
-        np.testing.assert_array_equal(kept, _basis(n_modes, top))
+        np.testing.assert_array_equal(kept, _rows(n_modes, 0, top))
 
-    def test_cost_follows_the_input(self, monkeypatch, basis_calls, tmp_path):
+    def test_cost_follows_the_input(self, monkeypatch, rows_calls, tmp_path):
         rhos = []
 
         def spy(rho):
@@ -465,14 +503,14 @@ class TestSectorBound:
         overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * 10]
         # K' is taken once, at the cutoff asked for: at cutoff 59 the weight
-        # above sector 57 is not negligible, so the one basis is built at 58
-        # and its last band is evolved at rho = 58, not 57
+        # above sector 57 is not negligible, so the rows of sectors 0..58 are
+        # built, in one band, and evolved at rho = 58, not 57
         rhos.clear()
-        basis_calls.clear()
+        rows_calls.clear()
         edge = ["oracle", "--couplings", "1", "--time", "1", "--alpha=2.55,0", "--cutoff", "59"]
         assert main([*edge, "--out", str(tmp_path / "report.json")]) == 0
-        assert basis_calls == [(2, 58)]
-        assert rhos[-1] == 58.0
+        assert rows_calls == band_calls(2, 58) == [(2, 0, 58)]
+        assert rhos == [58.0]
         # in bands of at most 64 rows, each band takes rho = |R*t| times its
         # highest sector, and the last one |R*t| * K'. A band closes before
         # the next sector would take it past its share: 300 / 5 = 60 rows for
@@ -480,17 +518,19 @@ class TestSectorBound:
         # for sectors 0..10 of 3 modes (sector n holds C(n+2, 2)).
         monkeypatch.setattr(fock, "_BAND_ROWS", 64)
         rhos.clear()
+        rows_calls.clear()
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         assert rhos == [1.0 * k for k in (9, 13, 16, 19, 21, 23)]
+        assert rows_calls == band_calls(2, 23) and [hi for _, _, hi in rows_calls] == [9, 13, 16, 19, 21, 23]
         rhos.clear()
         overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * k for k in (5, 6, 7, 8, 9, 10)]
 
-    def test_vacuum_is_returned_exactly(self, basis_calls):
-        # K' = 0 at cutoff 8: one basis of the vacuum row alone is built, and
+    def test_vacuum_is_returned_exactly(self, rows_calls):
+        # K' = 0 at cutoff 8: one band, of the vacuum row alone, is built, and
         # that row is evolved by no term
         assert overlap([0.0] * 3, [0.0] * 3, CouplingConfig([0.7, -1.1], 1.3), 8) == (1.0, 1.0, 0.0)
-        assert basis_calls == [(3, 0)]
+        assert rows_calls == band_calls(3, 0) == [(3, 0, 0)]
 
     def test_zero_vector_stays_zero(self):
         zero = np.zeros(math.comb(11, 3), dtype=complex)
@@ -513,7 +553,7 @@ class TestSectorBound:
         amps = list(z * math.sqrt(10.0 ** rng.uniform(-3.0, math.log10(largest / 2))) / np.linalg.norm(z))
         smallest = next(k for k in range(1, largest + 1) if truncation_tail(amps, k) <= MAX_TAIL)
         cutoff = int(rng.integers(smallest, largest + 1))
-        basis = _basis(n_modes, cutoff)
+        basis = _rows(n_modes, 0, cutoff)
         weights = np.abs(_coherent(np.asarray(amps), cutoff, basis)) ** 2
         sectors = np.bincount(basis.sum(axis=1), weights=weights, minlength=cutoff + 1)
         top = next(k for k in range(cutoff + 1) if sectors[k + 1 :].sum() <= 1e-34 * sectors.sum())
@@ -527,14 +567,8 @@ class TestSectorBound:
         # 998,991 states: every state lives at K' = 23. The guards and the
         # report still read the cutoff asked for.
         out = tmp_path / "report.json"
-        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1412", "--out", str(out)]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1412"]
+        assert self.traced_peak(argv, out) <= ORACLE_TRACED_PEAK
         report = json.loads(out.read_text())
         assert report["state_size"] == 998_991
         assert top_sector([0.6, 0.0], 1412) == 23
@@ -547,41 +581,48 @@ class TestSectorBound:
         assert (report["evolved_norm"], report["fidelity"]) == (1, 1)
 
     @staticmethod
-    def traced_peak_of_filled_run(tmp_path, couplings, time, alpha, beta, cutoff):
-        """The traced peak of an oracle run whose input fills its cutoff (K' = K)."""
-        argv = [
-            "oracle", "--couplings", couplings, "--time", repr(time), f"--alpha={alpha.real!r},{alpha.imag!r}",
-            f"--beta={beta.real!r},{beta.imag!r}", "--cutoff", str(cutoff), "--out", str(tmp_path / "report.json"),
-        ]
-        assert top_sector([alpha, beta, beta], cutoff) == cutoff
+    def traced_peak(argv, out):
+        """The traced peak of the oracle run argv, its report written to out."""
         tracemalloc.start()
         try:
-            assert main(argv) == 0
+            assert main([*argv, "--out", str(out)]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    def traced_peak_of_filled_run(self, tmp_path, couplings, time, alpha, beta, cutoff):
+        """The traced peak of an oracle run whose input fills its cutoff (K' = K)."""
+        argv = [
+            "oracle", "--couplings", couplings, "--time", repr(time), f"--alpha={alpha.real!r},{alpha.imag!r}",
+            f"--beta={beta.real!r},{beta.imag!r}", "--cutoff", str(cutoff),
+        ]
+        assert top_sector([alpha, beta, beta], cutoff) == cutoff
+        return self.traced_peak(argv, tmp_path / "report.json")
+
     def test_oracle_run_that_fills_its_cutoff(self, tmp_path):
-        # K' = K = 60, 39,711 rows: only the basis and its rows' sector
-        # totals grow with the input, the states are built, evolved and
-        # summed one band at a time, so the run traces at most 40 B a row
-        # (about 170 when evolve held its move tables and recurrence vectors
-        # for every row at once, 58 when the run built its states whole)
+        # K' = K = 60, 39,711 rows in 12 bands: the rows and the states are
+        # built, evolved and summed one band at a time
         time = math.pi / (4.0 * math.hypot(1.1, 0.7))
         peak = self.traced_peak_of_filled_run(tmp_path, "1.1,0.7", time, 2.5, 1 + 1j, 60)
-        assert peak <= 40 * math.comb(63, 3)
+        assert peak <= ORACLE_TRACED_PEAK
 
     def test_oracle_run_that_fills_a_deep_cutoff(self, tmp_path):
-        # K' = K = 99, 171,700 rows: at most 20 B a row (55 when the run
-        # built its states whole)
+        # K' = K = 99, 171,700 rows in 50 bands: the same bound
         peak = self.traced_peak_of_filled_run(tmp_path, "1,1", 1.0, 4 + 2j, 2 + 1j, 99)
-        assert peak <= 20 * math.comb(102, 3)
+        assert peak <= ORACLE_TRACED_PEAK
+
+    def test_oracle_run_of_many_bands_below_its_cutoff(self, tmp_path):
+        # one ancilla at --alpha=12,0 and cutoff 1412: K' = 314, 49,770 rows
+        # in 14 bands, under the same bound
+        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=12,0", "--cutoff", "1412"]
+        assert top_sector([12.0, 0.0], 1412) == 314
+        assert self.traced_peak(argv, tmp_path / "report.json") <= ORACLE_TRACED_PEAK
 
 
 class TestOverlap:
     """overlap is the oracle check streamed: the norm of the evolved coherent
     product, and its fidelity with the predicted product, summed one band at
-    a time from the rows of one basis."""
+    a time, each band from its own rows."""
 
     @pytest.mark.parametrize("band_rows", [fock._BAND_ROWS, 16])
     @pytest.mark.parametrize("seed", range(6))
@@ -610,7 +651,7 @@ class TestOverlap:
         # each band with its own series, of rho = |R*t| * its highest sector
         angle = abs(_reduced_angle(config, n_modes))
         assert rhos == [angle * hi for _, hi in fock._bands(n_modes, top)]
-        if len(_basis(n_modes, top)) <= band_rows:
+        if math.comb(top + n_modes, n_modes) <= band_rows:
             assert len(rhos) == 1
         else:
             assert len(rhos) >= 3
