@@ -26,8 +26,8 @@ prediction: their fidelity is (1 - tau)^2.
 
 A coherent product's sector weights are Poisson(sum_j |a_j|^2), and each
 sector evolves on its own. :func:`overlap`, the one entry point, applies the
-guards at the cutoff asked for and finds there, in closed form, K': the
-smallest sector above which the input holds at most (1e-17 |v|)^2 of its
+guards at the cutoff asked for and reads K' there off :func:`truncation_tail`:
+the smallest sector above which the input holds at most (1e-17 |v|)^2 of its
 weight, the error the series already accepts. It takes sectors 0..K' in
 bands of whole, consecutive sectors, of at most _BAND_ROWS rows unless one
 sector is larger, builds each band's rows and the input and the prediction
@@ -38,6 +38,7 @@ vector wakes OpenBLAS's worker thread, which spins until the run ends.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -118,8 +119,9 @@ def _rows(n_modes: int, lo: int, hi: int) -> np.ndarray:
 def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
     """P(Poisson(sum_j |a_j|^2) > cutoff): the weight the truncation drops.
 
-    The upper tail is summed directly, so it stays accurate far below the
-    1e-16 at which 1 - cdf bottoms out.
+    Whenever the terms fall from n = cutoff + 1 on (mean < cutoff + 2), the
+    tail is summed directly, so it is accurate at every cutoff, 0 included,
+    far below the 1e-16 at which 1 - cdf bottoms out.
     """
     cutoff = require_integer(cutoff, "cutoff")
     radius = math.hypot(*(x for a in amplitudes for x in (a.real, a.imag)))
@@ -133,10 +135,10 @@ def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
     def pmf(n: int) -> float:
         return math.exp(n * log_mean - mean - math.lgamma(n + 1))
 
-    if mean > cutoff:
+    if mean >= cutoff + 2:
         # most of the weight lies beyond the cutoff, where 1 - cdf is accurate
         return max(0.0, 1.0 - math.fsum(pmf(n) for n in range(cutoff + 1)))
-    # the terms fall from n = cutoff + 1 on, since mean / n < 1
+    # the terms fall from n = cutoff + 1 on, since mean / (cutoff + 2) < 1
     n, term, tail = cutoff + 1, pmf(cutoff + 1), 0.0
     while term > tail * 1e-17:
         tail += term
@@ -145,11 +147,13 @@ def truncation_tail(amplitudes: Sequence[complex], cutoff: int) -> float:
     return tail
 
 
-def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, float]:
-    """The mode amplitudes as an array and their truncation tail at cutoff.
+def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, float, int]:
+    """The mode amplitudes as an array, their truncation tail at cutoff and K'.
 
     Refused for a cutoff below 1, over the amplitude budget or when the tail
-    exceeds MAX_TAIL.
+    exceeds MAX_TAIL. K' is the smallest k such that sectors k+1..cutoff
+    hold at most _NEGLIGIBLE of the weight of sectors 0..cutoff, read off
+    truncation_tail by bisection; the vacuum has K' = 0.
     """
     amps = np.array([require_finite_complex(a, "amplitude") for a in amplitudes])
     if not amps.size:
@@ -166,25 +170,10 @@ def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, f
         raise InfoCloneError(
             f"truncation tail P(Poisson(sum |a|^2) > {cutoff}) = {tail:.3g} exceeds {MAX_TAIL:.3g}"
         )
-    return amps, tail
-
-
-def _poisson_top(amps: np.ndarray, cutoff: int) -> int:
-    """The K' of the coherent product with mode amplitudes amps, at cutoff.
-
-    The smallest k such that sectors k+1..cutoff hold at most _NEGLIGIBLE of
-    the weight of sectors 0..cutoff. Sector n weighs e^-mu mu^n / n!,
-    mu = sum_j |a_j|^2; the vacuum has K' = 0.
-    """
-    mean = float(_squared(amps).sum())
-    if mean == 0.0:
-        return 0
-    n = np.arange(cutoff + 1)
-    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(cutoff + 1)])
-    sectors = np.exp(n * math.log(mean) - mean - log_factorials)
-    # the weight above sector k, for k = 0 .. cutoff - 1: it never increases
-    above = np.cumsum(sectors[:0:-1])[::-1]
-    return int(np.count_nonzero(above > _NEGLIGIBLE * sectors.sum()))
+    top = bisect.bisect_left(
+        range(cutoff + 1), True, key=lambda k: truncation_tail(amps, k) - tail <= _NEGLIGIBLE * (1.0 - tail)
+    )
+    return amps, tail, top
 
 
 def _coherent(amps: np.ndarray, cutoff: int, basis: np.ndarray) -> np.ndarray:
@@ -266,8 +255,8 @@ def _bands(n_modes: int, top: int) -> list[tuple[int, int]]:
     return bands
 
 
-def _reduced_angle(config: CouplingConfig, n_modes: int) -> float:
-    """R*t reduced to [-pi, pi], once config is checked against n_modes.
+def _reduced_angle(config: CouplingConfig) -> float:
+    """config's R*t, reduced to [-pi, pi].
 
     A / (R*t) rotates the held mode into the mode B / R, so on the sector of
     n photons its eigenvalues are i*k with integer |k| <= n: the evolution
@@ -277,11 +266,6 @@ def _reduced_angle(config: CouplingConfig, n_modes: int) -> float:
     build_transform` takes the same rounded angle, so the oracle cannot
     detect that error.
     """
-    if len(config.couplings) + 1 != n_modes:
-        raise InfoCloneError(
-            f"config has {len(config.couplings)} couplings but the state has "
-            f"{n_modes} modes (need couplings + 1)"
-        )
     angle = config.angle
     if abs(angle) > math.pi:
         angle = math.atan2(math.sin(angle), math.cos(angle))
@@ -342,16 +326,18 @@ def overlap(
 
     The norm of exp(A) applied to the coherent product amplitudes truncated
     at cutoff, and its squared overlap with the truncated product predicted.
-    The guards and the tail are those at cutoff; K' is taken there too, from
-    the input's Poisson sector weights, and the rows of each band of sectors
-    0..K' are built, evolved and summed in turn.
+    The guards and the tail are those at cutoff; K' is taken there too, read
+    off truncation_tail, and the rows of each band of sectors 0..K' are
+    built, evolved and summed in turn.
     """
-    amps, tail = _admitted(amplitudes, cutoff)
+    amps, tail, top = _admitted(amplitudes, cutoff)
     pred = np.asarray(predicted, dtype=complex)
-    if pred.size != amps.size:
-        raise InfoCloneError(f"{amps.size} input modes but {pred.size} predicted modes")
-    angle = _reduced_angle(config, amps.size)
-    top = _poisson_top(amps, cutoff)
+    if not amps.size == pred.size == len(config.couplings) + 1:
+        raise InfoCloneError(
+            f"{amps.size} input modes, {pred.size} predicted modes and {len(config.couplings)} "
+            "couplings (need couplings + 1 modes of each)"
+        )
+    angle = _reduced_angle(config)
     squares, inner = 0.0, 0j
     for lo, hi in _bands(amps.size, top):
         rows = _rows(amps.size, lo, hi)

@@ -352,11 +352,17 @@ class TestConfigFile:
         assert row["trials"] == 200  # flag wins over file
         assert row["seed"] == 9
 
-    def test_unknown_key(self, run_cli, tmp_path):
+    def test_unknown_key(self, run_cli, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"trials": 100, "bogus": 1}))
         code, _ = run_cli("estimate", "--config", str(config))
         assert code == 2
+        # no key is read from a file that does not hold an object
+        config.write_text(json.dumps([1, 2]))
+        capsys.readouterr()
+        code, _ = run_cli("estimate", "--config", str(config))
+        assert code == 2
+        assert capsys.readouterr().err == "error: InfoCloneError: config file must contain a JSON object\n"
 
     def test_command_mismatch(self, run_cli, tmp_path):
         config = tmp_path / "config.json"

@@ -42,12 +42,12 @@ def coherent_vector(alpha, cutoff):
 def evolved(v, config, cutoff):
     """exp(A) v on the whole basis at cutoff, as one band."""
     n_modes = len(config.couplings) + 1
-    return _evolve_band(_rows(n_modes, 0, cutoff), v, _reduced_angle(config, n_modes), config, cutoff)
+    return _evolve_band(_rows(n_modes, 0, cutoff), v, _reduced_angle(config), config, cutoff)
 
 
 def top_sector(amps, cutoff):
     """K' of the coherent product amps at cutoff: the highest sector overlap evolves."""
-    return fock._poisson_top(np.asarray(amps, dtype=complex), cutoff)
+    return _admitted(amps, cutoff)[2]
 
 
 @pytest.fixture
@@ -190,11 +190,11 @@ class TestProductState:
 
 class TestTruncationTail:
     @pytest.mark.parametrize(
-        "mean, cutoff", [(1.0, 10), (12.0, 60), (2.0, 8), (16.0, 25), (9.0, 4), (0.5, 1)]
+        "mean, cutoff", [(1.0, 10), (12.0, 60), (2.0, 8), (16.0, 25), (9.0, 4), (0.5, 1), (1e-20, 0)]
     )
     def test_matches_explicit_sum(self, mean, cutoff):
         tail = truncation_tail([math.sqrt(mean)], cutoff)
-        assert tail == pytest.approx(poisson_tail(mean, cutoff), rel=1e-13)
+        assert tail == pytest.approx(poisson_tail(mean, cutoff), rel=1e-13, abs=0)
 
     def test_far_tail_is_not_rounded_to_zero(self):
         # 1 - cdf would read 0 here
@@ -361,7 +361,7 @@ class TestEvolve:
             rows = np.flatnonzero((totals >= lo) & (totals <= hi))
             band = _rows(n_modes, lo, hi)
             np.testing.assert_array_equal(band, basis[rows])
-            out[rows] = _evolve_band(band, v[rows], _reduced_angle(config, n_modes), config, hi)
+            out[rows] = _evolve_band(band, v[rows], _reduced_angle(config), config, hi)
         propagator = expm_antisymmetric(dense_generator(couplings, config.time, cutoff))
         np.testing.assert_allclose(out, propagator @ v, rtol=0, atol=1e-12)
 
@@ -434,8 +434,9 @@ class TestEvolve:
 
     def test_mode_count_mismatch(self):
         cfg = CouplingConfig([1.0, 1.0], 0.5)
-        with pytest.raises(InfoCloneError, match=re.escape("config has 2 couplings but the state has 2 modes")):
-            _reduced_angle(cfg, 2)
+        message = "2 input modes, 2 predicted modes and 2 couplings (need couplings + 1 modes of each)"
+        with pytest.raises(InfoCloneError, match=re.escape(message)):
+            overlap([0.5, 0.0], [0.5, 0.0], cfg, 10)
 
     def test_products_stay_products_single_ancilla(self):
         rng = np.random.default_rng(22)
@@ -560,7 +561,10 @@ class TestSectorBound:
         assert top_sector(amps, cutoff) == top
         config = CouplingConfig([1.0] * (n_modes - 1), 0.0)
         assert overlap(amps, amps, config, cutoff)[2] == truncation_tail(amps, cutoff)
-        assert fock._poisson_top(np.zeros(3), 8) == 0
+        assert top_sector(np.zeros(3), 8) == 0
+        # sector 1 weighs 1e-20: the bisection probes k = 0, where the tail
+        # must be summed directly, not read as 1 - cdf = 0
+        assert top_sector([1e-10, 0.0], 5) == 1
 
     def test_oracle_run_is_sized_by_its_input(self, tmp_path):
         # the deepest one-ancilla run the budget admits builds nothing of its
@@ -649,7 +653,7 @@ class TestOverlap:
         top = top_sector(amps, 40)
         evolved_norm, fid, _ = overlap(amps, predicted, config, 40)
         # each band with its own series, of rho = |R*t| * its highest sector
-        angle = abs(_reduced_angle(config, n_modes))
+        angle = abs(_reduced_angle(config))
         assert rhos == [angle * hi for _, hi in fock._bands(n_modes, top)]
         if math.comb(top + n_modes, n_modes) <= band_rows:
             assert len(rhos) == 1
@@ -678,6 +682,8 @@ class TestOverlap:
             overlap([0.5, 0.0, 0.0], [0.5, 0.0], config, 10)
         with pytest.raises(InfoCloneError, match="need couplings"):
             overlap([0.5, 0.0], [0.5, 0.0], config, 10)
+        with pytest.raises(InfoCloneError, match="at least one mode amplitude is required"):
+            overlap([], [], CouplingConfig([1.0], 1.0), 5)
 
 
 class TestStrategyOracle:

@@ -140,6 +140,8 @@ class TestApplyTransform:
         u = build_transform(CouplingConfig([1.0], 0.3))
         with pytest.raises(InfoCloneError, match="amplitude vector of length 3 does not match matrix dim 2"):
             apply_transform(u, [1.0, 2.0, 3.0])
+        with pytest.raises(InfoCloneError, match=re.escape("matrix must be square, got shape (2, 3)")):
+            apply_transform(np.ones((2, 3)), [1, 2])
 
     def test_non_finite_vector(self):
         u = build_transform(CouplingConfig([1.0], 0.3))
