@@ -26,10 +26,13 @@ prediction: their fidelity is (1 - tau)^2.
 
 A coherent product's sector weights are Poisson(sum_j |a_j|^2), and each
 sector evolves on its own. :func:`overlap`, the one entry point, applies the
-guards at the cutoff asked for and reads K' there off :func:`truncation_tail`:
-the smallest sector above which the input holds at most (1e-17 |v|)^2 of its
-weight, the error the series already accepts. It takes sectors 0..K' in
-bands of whole, consecutive sectors, of at most _BAND_ROWS rows unless one
+guards at the cutoff asked for and reads K' there off :func:`truncation_tail`.
+Both truncations spend one budget, 1e-17 of the unit input: K' is the
+smallest sector above which the input holds at most 1e-17 of its weight,
+which moves the printed norm and fidelity by at most 2e-17, and each band's
+series stops once the terms it leaves out move the band by under 2e-17, far
+below the evolution's rounding of a few 1e-15. overlap takes sectors 0..K'
+in bands of whole, consecutive sectors, of at most _BAND_ROWS rows unless one
 sector is larger, builds each band's rows and the input and the prediction
 on them, evolves the input and sums: no basis or state is built whole. Norms
 and overlaps are ufunc sums, not BLAS calls: the first BLAS call on a long
@@ -60,9 +63,11 @@ FIDELITY_THRESHOLD = 0.999
 # The largest truncation tail that leaves fidelity (1 - tau)^2 within half of
 # the 1 - FIDELITY_THRESHOLD slack; the other half is for the transform.
 MAX_TAIL = 1.0 - math.sqrt(1.0 - (1.0 - FIDELITY_THRESHOLD) / 2.0)
-# The share of a state's weight, (1e-17)^2, that may lie above the sectors it
-# is evolved on: the error the Chebyshev series already accepts.
-_NEGLIGIBLE = 1e-34
+# The oracle's one error budget, a share of the unit input: the weight w that
+# may lie above the sectors it evolves, and the terms each band's series leaves
+# out. Dropping w moves evolved_norm by at most w/2 and fidelity by at most 2w,
+# under a fifth of the last bit of a number below 1.
+_NEGLIGIBLE = 1e-17
 # The most rows overlap works on at once: it evolves whole, consecutive
 # sectors in bands of at most this many rows (a larger sector is a band of its
 # own), so its move tables and recurrence vectors do not grow with the state.
@@ -96,14 +101,20 @@ def _rows(n_modes: int, lo: int, hi: int) -> np.ndarray:
     width = hi - lo
     size = math.comb(hi + n_modes, n_modes) - math.comb(lo - 1 + n_modes, n_modes)
     rows = np.empty((size, n_modes), dtype=dtype)
+    # binomials[rest][r] = C(r + rest, rest), r = 0..hi: each the running sum
+    # of the one before, exact in int64, as none exceeds C(hi + n_modes, n_modes)
+    binomials = [np.ones(hi + 1, dtype=np.int64)]
+    for _ in range(n_modes - 1):
+        binomials.append(np.cumsum(binomials[-1]))
     room = np.array([hi])
     for j in range(n_modes - 1):
         # each prefix branches into n = 0 .. room for the next mode
         n = _branch(room)
         room = np.repeat(room, room + 1) - n
-        rest = n_modes - 1 - j
-        counts = [math.comb(r + rest, rest) - math.comb(max(r - width - 1 + rest, 0), rest) for r in range(hi + 1)]
-        rows[:, j] = np.repeat(n.astype(dtype), np.array(counts)[room])
+        table = binomials[n_modes - 1 - j]
+        counts = table.copy()
+        counts[width + 1 :] -= table[:lo]
+        rows[:, j] = np.repeat(n.astype(dtype), counts[room])
     # the last mode completes each prefix alone, one row per n from
     # max(0, room - (hi - lo)) to room: steps of +1, and at each prefix but the
     # first a step from the room of the one before, summed in place in the row type
@@ -153,7 +164,8 @@ def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, f
     Refused for a cutoff below 1, over the amplitude budget or when the tail
     exceeds MAX_TAIL. K' is the smallest k such that sectors k+1..cutoff
     hold at most _NEGLIGIBLE of the weight of sectors 0..cutoff, read off
-    truncation_tail by bisection; the vacuum has K' = 0.
+    truncation_tail by bisection over floor(sum |a|^2) - 2..cutoff; the
+    vacuum has K' = 0.
     """
     amps = np.array([require_finite_complex(a, "amplitude") for a in amplitudes])
     if not amps.size:
@@ -170,8 +182,11 @@ def _admitted(amplitudes: Sequence[complex], cutoff: int) -> tuple[np.ndarray, f
         raise InfoCloneError(
             f"truncation tail P(Poisson(sum |a|^2) > {cutoff}) = {tail:.3g} exceeds {MAX_TAIL:.3g}"
         )
+    # the sector law's median is at least mean - ln 2, so below floor(mean) - 2
+    # the tail above k is over 1/2, far over the budget: no probe is needed there
+    start = max(0, math.floor(_squared(amps).sum()) - 2)
     top = bisect.bisect_left(
-        range(cutoff + 1), True, key=lambda k: truncation_tail(amps, k) - tail <= _NEGLIGIBLE * (1.0 - tail)
+        range(cutoff + 1), True, lo=start, key=lambda k: truncation_tail(amps, k) - tail <= _NEGLIGIBLE * (1.0 - tail)
     )
     return amps, tail, top
 
@@ -193,8 +208,11 @@ def _coherent(amps: np.ndarray, cutoff: int, basis: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _bessel_coefficients(rho: float) -> np.ndarray:
-    """J_0(rho), J_1(rho), ... up to the first k > rho with |J_k| < 1e-17.
+def _bessel_coefficients(rho: float, norm: float) -> np.ndarray:
+    """J_0(rho), J_1(rho), ... up to the first k > rho with |J_k| norm < 1e-17.
+
+    norm is that of the vector the series is applied to, which the terms left
+    out move by about 2 |J_k| norm.
 
     Miller's backward recurrence, rescaled at every step: it is carried as
     the ratios J_k / J_{k-1} = rho / (2k - rho J_{k+1} / J_k), which never
@@ -211,7 +229,7 @@ def _bessel_coefficients(rho: float) -> np.ndarray:
         ratios[k] = ratio
     scaled = np.cumprod(ratios)  # J_k / J_0
     coeffs = scaled / (1.0 + 2.0 * scaled[2::2].sum())
-    (small,) = np.nonzero((np.arange(start + 1) > rho) & (np.abs(coeffs) < 1e-17))
+    (small,) = np.nonzero((np.arange(start + 1) > rho) & (np.abs(coeffs) * norm < _NEGLIGIBLE))
     return coeffs[: small[0]]
 
 
@@ -285,11 +303,13 @@ def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: Couplin
     and chi_{k+1} = (2/rho) A chi_k + chi_{k-1}; its coefficients are real
     because A is real antisymmetric. It needs rho >= |A|, and
     rho = |R*t| * top is |A| on the band exactly, so a lower band takes
-    fewer terms. It stops at the first k > rho with |J_k| < 1e-17; the
-    rounding of the recurrence dominates, and on the cutoff-60 oracle check
-    the evolved state is off by about 1e-15 in norm.
+    fewer terms. It stops at the first k > rho with |J_k| |v| < 1e-17: the
+    terms left out move the band's evolved vector by under 2e-17, so a band
+    of little weight takes few terms past rho. The rounding of the recurrence
+    dominates, and on the cutoff-60 oracle check the evolved state is off by
+    about 1e-15 in norm.
     """
-    coeffs = _bessel_coefficients(abs(angle) * top)
+    coeffs = _bessel_coefficients(abs(angle) * top, math.sqrt(_squared(v).sum()))
     # 2 A / rho = (2 / top) sign(R*t) A / (R*t): r / R cannot overflow. The
     # vacuum, top = 0, has no moves.
     scale = math.copysign(2.0 / max(top, 1), angle)

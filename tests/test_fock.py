@@ -266,10 +266,10 @@ class TestBasis:
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         assert rows_calls == band_calls(3, top_sector([0.5, 0.0, 0.0], 12))
         rows_calls.clear()
-        # one ancilla at --alpha=12,0: K' = 314 in 14 bands, each built once
+        # one ancilla at --alpha=12,0: K' = 257 in 10 bands, each built once
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=12,0", "--cutoff", "1412"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        assert rows_calls == band_calls(2, 314) and len(rows_calls) == 14
+        assert rows_calls == band_calls(2, 257) and len(rows_calls) == 10
 
     def test_built_in_little_more_than_its_size(self):
         # the columns are written in the row type: no full-size int64
@@ -302,7 +302,7 @@ class TestBesselCoefficients:
     # budget: one ancilla at cutoff 1412
     @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.5, 47.0, 1000.0, 3200.0, math.pi * 1412])
     def test_match_reference(self, rho):
-        coeffs = _bessel_coefficients(rho)
+        coeffs = _bessel_coefficients(rho, 1.0)
         n = len(coeffs)
         assert n > rho
         # the series stops where the rest is below 1e-17
@@ -310,6 +310,20 @@ class TestBesselCoefficients:
         # the FFT reference's own error grows with rho, as its phases
         # rho*sin(phi) are rounded to about 1e-16*rho (2.5e-14 at pi*1412)
         np.testing.assert_allclose(coeffs, bessel_j(rho)[:n], rtol=0, atol=2e-16 * max(1.0, rho))
+
+    @pytest.mark.parametrize("rho, norm", [(0.5, 1e-3), (47.0, 1e-6), (47.0, 0.0), (1000.0, 1e-12), (3200.0, 0.3)])
+    def test_a_lighter_vector_takes_fewer_terms(self, rho, norm):
+        # the series stops at the first k > rho with |J_k| norm < 1e-17: the
+        # terms it leaves out move a vector of that norm by about 2e-17
+        coeffs = _bessel_coefficients(rho, norm)
+        n = len(coeffs)
+        assert n > rho
+        assert abs(bessel_j_exact(n, rho)) * norm < 1e-17
+        assert n - 1 <= rho or abs(bessel_j_exact(n - 1, rho)) * norm >= 1e-17
+        # the coefficients are those of the unit vector, cut short
+        whole = _bessel_coefficients(rho, 1.0)
+        assert n < len(whole)
+        np.testing.assert_array_equal(coeffs, whole[:n])
 
 
 # couplings, R*t and cutoff of the checks against the dense exponential
@@ -474,7 +488,7 @@ class TestEvolve:
 
 class TestSectorBound:
     """overlap works on the sectors up to K', the smallest above which the
-    input holds at most (1e-17 |v|)^2, not on the whole cutoff."""
+    input holds at most 1e-17 of its weight, not on the whole cutoff."""
 
     @pytest.mark.parametrize("n_modes, cutoff, top", [(2, 10, 0), (3, 12, 5), (4, 8, 8), (5, 6, 2)])
     def test_kept_rows_are_the_smaller_basis(self, n_modes, cutoff, top):
@@ -486,12 +500,12 @@ class TestSectorBound:
     def test_cost_follows_the_input(self, monkeypatch, rows_calls, tmp_path):
         rhos = []
 
-        def spy(rho):
+        def spy(rho, norm):
             rhos.append(rho)
-            return _bessel_coefficients(rho)
+            return _bessel_coefficients(rho, norm)
 
         monkeypatch.setattr(fock, "_bessel_coefficients", spy)
-        # |R*t| = 1; no weight above sector 23 worth keeping, out of 1000
+        # |R*t| = 1; no weight above sector 13 worth keeping, out of 1000
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1000"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         assert len(rhos) == 1 and 0 < rhos[0] <= 30.0
@@ -503,26 +517,27 @@ class TestSectorBound:
         assert top_sector(amps, 10) == 10
         overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * 10]
-        # K' is taken once, at the cutoff asked for: at cutoff 59 the weight
-        # above sector 57 is not negligible, so the rows of sectors 0..58 are
-        # built, in one band, and evolved at rho = 58, not 57
+        # K' is taken once, at the cutoff asked for: at cutoff 60 the weight
+        # above sector 58 is not negligible, so the rows of sectors 0..59 are
+        # built, in one band, and evolved at rho = 59, not 58 (K' at 59)
         rhos.clear()
         rows_calls.clear()
-        edge = ["oracle", "--couplings", "1", "--time", "1", "--alpha=2.55,0", "--cutoff", "59"]
+        edge = ["oracle", "--couplings", "1", "--time", "1", "--alpha=3.9,0", "--cutoff", "60"]
         assert main([*edge, "--out", str(tmp_path / "report.json")]) == 0
-        assert rows_calls == band_calls(2, 58) == [(2, 0, 58)]
-        assert rhos == [58.0]
+        assert top_sector([3.9, 0.0], 59) == 58
+        assert rows_calls == band_calls(2, 59) == [(2, 0, 59)]
+        assert rhos == [59.0]
         # in bands of at most 64 rows, each band takes rho = |R*t| times its
         # highest sector, and the last one |R*t| * K'. A band closes before
-        # the next sector would take it past its share: 300 / 5 = 60 rows for
-        # sectors 0..23 of 2 modes (sector n holds n + 1), 286 / 5 = 57.2
+        # the next sector would take it past its share: 105 / 2 = 52.5 rows
+        # for sectors 0..13 of 2 modes (sector n holds n + 1), 286 / 5 = 57.2
         # for sectors 0..10 of 3 modes (sector n holds C(n+2, 2)).
         monkeypatch.setattr(fock, "_BAND_ROWS", 64)
         rhos.clear()
         rows_calls.clear()
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        assert rhos == [1.0 * k for k in (9, 13, 16, 19, 21, 23)]
-        assert rows_calls == band_calls(2, 23) and [hi for _, _, hi in rows_calls] == [9, 13, 16, 19, 21, 23]
+        assert rhos == [1.0 * k for k in (8, 12, 13)]
+        assert rows_calls == band_calls(2, 13) and [hi for _, _, hi in rows_calls] == [8, 12, 13]
         rhos.clear()
         overlap(amps, amps, config, 10)
         assert rhos == [abs(config.angle) * k for k in (5, 6, 7, 8, 9, 10)]
@@ -545,7 +560,7 @@ class TestSectorBound:
         # K', from the Poisson sector weights alone, is that of the state
         # built at the cutoff asked for, found from its weight by row total;
         # the draws put sum |a|^2 between 1e-3 and half the largest cutoff the
-        # budget admits, so that K' < cutoff in 25 of the 40 cases. overlap
+        # budget admits, so that K' < cutoff in 31 of the 40 cases. overlap
         # returns the tail at the cutoff asked for.
         rng = np.random.default_rng(seed)
         n_modes = int(rng.integers(2, 5))
@@ -557,28 +572,28 @@ class TestSectorBound:
         basis = _rows(n_modes, 0, cutoff)
         weights = np.abs(_coherent(np.asarray(amps), cutoff, basis)) ** 2
         sectors = np.bincount(basis.sum(axis=1), weights=weights, minlength=cutoff + 1)
-        top = next(k for k in range(cutoff + 1) if sectors[k + 1 :].sum() <= 1e-34 * sectors.sum())
+        top = next(k for k in range(cutoff + 1) if sectors[k + 1 :].sum() <= fock._NEGLIGIBLE * sectors.sum())
         assert top_sector(amps, cutoff) == top
         config = CouplingConfig([1.0] * (n_modes - 1), 0.0)
         assert overlap(amps, amps, config, cutoff)[2] == truncation_tail(amps, cutoff)
         assert top_sector(np.zeros(3), 8) == 0
-        # sector 1 weighs 1e-20: the bisection probes k = 0, where the tail
-        # must be summed directly, not read as 1 - cdf = 0
-        assert top_sector([1e-10, 0.0], 5) == 1
+        # sector 1 weighs 9e-10 and the sectors above it 4e-19, so K' = 1:
+        # the bisection probes k = 0, where the tail must be summed directly
+        assert top_sector([3e-5, 0.0], 5) == 1
 
     def test_oracle_run_is_sized_by_its_input(self, tmp_path):
         # the deepest one-ancilla run the budget admits builds nothing of its
-        # 998,991 states: every state lives at K' = 23. The guards and the
+        # 998,991 states: every state lives at K' = 13. The guards and the
         # report still read the cutoff asked for.
         out = tmp_path / "report.json"
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1412"]
         assert self.traced_peak(argv, out) <= ORACLE_TRACED_PEAK
         report = json.loads(out.read_text())
         assert report["state_size"] == 998_991
-        assert top_sector([0.6, 0.0], 1412) == 23
+        assert top_sector([0.6, 0.0], 1412) == 13
         # the tail at 1412 underflows to 0; the one at K' does not
         assert report["truncation_tail"] == truncation_tail([0.6, 0.0], 1412) == 0.0
-        assert truncation_tail([0.6, 0.0], 23) > 0.0
+        assert truncation_tail([0.6, 0.0], 13) > 0.0
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0,0", "--cutoff", "5", "--out", str(out)]
         assert main(argv) == 0
         report = json.loads(out.read_text())
@@ -607,19 +622,19 @@ class TestSectorBound:
         # K' = K = 60, 39,711 rows in 12 bands: the rows and the states are
         # built, evolved and summed one band at a time
         time = math.pi / (4.0 * math.hypot(1.1, 0.7))
-        peak = self.traced_peak_of_filled_run(tmp_path, "1.1,0.7", time, 2.5, 1 + 1j, 60)
+        peak = self.traced_peak_of_filled_run(tmp_path, "1.1,0.7", time, 3.5, 2 + 1j, 60)
         assert peak <= ORACLE_TRACED_PEAK
 
     def test_oracle_run_that_fills_a_deep_cutoff(self, tmp_path):
         # K' = K = 99, 171,700 rows in 50 bands: the same bound
-        peak = self.traced_peak_of_filled_run(tmp_path, "1,1", 1.0, 4 + 2j, 2 + 1j, 99)
+        peak = self.traced_peak_of_filled_run(tmp_path, "1,1", 1.0, 4 + 2j, 3 + 2j, 99)
         assert peak <= ORACLE_TRACED_PEAK
 
     def test_oracle_run_of_many_bands_below_its_cutoff(self, tmp_path):
-        # one ancilla at --alpha=12,0 and cutoff 1412: K' = 314, 49,770 rows
-        # in 14 bands, under the same bound
+        # one ancilla at --alpha=12,0 and cutoff 1412: K' = 257, 33,411 rows
+        # in 10 bands, under the same bound
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=12,0", "--cutoff", "1412"]
-        assert top_sector([12.0, 0.0], 1412) == 314
+        assert top_sector([12.0, 0.0], 1412) == 257
         assert self.traced_peak(argv, tmp_path / "report.json") <= ORACLE_TRACED_PEAK
 
 
@@ -631,15 +646,15 @@ class TestOverlap:
     @pytest.mark.parametrize("band_rows", [fock._BAND_ROWS, 16])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_library_path(self, monkeypatch, band_rows, seed):
-        # 1 to 3 ancillas, sum |a|^2 between 0.05 and 1, at cutoff 40; at the
-        # module's band size the 1- and 2-ancilla states fit one band, at 16
-        # rows every state spans many
+        # 1 to 3 ancillas, sum |a|^2 between 0.3 and 3, at cutoff 40, so K' is
+        # 13 to 20; at the module's band size the 1- and 2-ancilla states fit
+        # one band, at 16 rows every state spans many
         default_rows = fock._BAND_ROWS
         rhos = []
 
-        def spy(rho):
+        def spy(rho, norm):
             rhos.append(rho)
-            return _bessel_coefficients(rho)
+            return _bessel_coefficients(rho, norm)
 
         monkeypatch.setattr(fock, "_BAND_ROWS", band_rows)
         monkeypatch.setattr(fock, "_bessel_coefficients", spy)
@@ -648,7 +663,7 @@ class TestOverlap:
         n_modes = n_ancillas + 1
         config = CouplingConfig(list(rng.uniform(-1.5, 1.5, size=n_ancillas)), float(rng.uniform(-4.0, 4.0)))
         z = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        amps = list(z * math.sqrt(10.0 ** rng.uniform(-1.3, 0.0)) / np.linalg.norm(z))
+        amps = list(z * math.sqrt(10.0 ** rng.uniform(-0.5, 0.5)) / np.linalg.norm(z))
         predicted = apply_transform(build_transform(config), amps)
         top = top_sector(amps, 40)
         evolved_norm, fid, _ = overlap(amps, predicted, config, 40)
@@ -659,11 +674,12 @@ class TestOverlap:
             assert len(rhos) == 1
         else:
             assert len(rhos) >= 3
-        # the band size changes only the order of the sums
+        # the band size changes only the order of the sums and where each
+        # band's series stops, both at the rounding
         monkeypatch.setattr(fock, "_BAND_ROWS", default_rows)
         assert overlap(amps, predicted, config, 40)[:2] == pytest.approx((evolved_norm, fid), rel=0, abs=1e-15)
         # against the dense exponential, on the bases small enough for it:
-        # seeds 0, 1 and 3, of 276, 969 and 231 rows
+        # seeds 0, 1 and 3, of 231, 560 and 190 rows
         if math.comb(top + n_modes, n_modes) <= 1000:
             out = expm_antisymmetric(dense_generator(config.couplings, config.time, top)) @ coherent(amps, top)
             assert abs(evolved_norm - np.linalg.norm(out)) <= 1e-12
@@ -728,3 +744,57 @@ class TestFidelity:
     def test_symmetry(self):
         a, b = [0.3 + 0.1j, 0.0], [-0.2 + 0.4j, 0.0]
         assert zero_time_fidelity(a, b, 20) == pytest.approx(zero_time_fidelity(b, a, 20), rel=1e-12)
+
+
+# Admitted oracle inputs (couplings, time, alpha, beta, cutoff): 1 to 3
+# ancillas at cutoffs 20 to 60, tails from 1e-111 to 2.4e-4, K' from 13 to
+# the cutoff, seven of them over 5 to 12 bands
+DEFECT_INPUTS = [
+    ("1.097", "2.141", "-3.36,1.05", "1.19,3.01", 50),
+    ("0.39,0.879", "-2.435", "4.32,2.77", "-0.29,-0.77", 50),
+    ("1.394,0.462,0.347", "-2.055", "-0.49,-0.09", "0.39,0.99", 25),
+    ("0.834", "-1.042", "0.96,2.68", "-0.1,0.36", 20),
+    ("-0.128,-0.666", "2.986", "1.25,-1.97", "-0.43,0.98", 20),
+    ("-1.411,0.189,-1.176", "-2.353", "0.46,0.21", "-0.75,-1.74", 25),
+    ("-0.09", "2.882", "1.68,0.83", "0.19,-1.04", 20),
+    ("-0.566,-1.455", "-0.54", "1.36,1.54", "1.47,0.1", 20),
+    ("-0.967,0.178,-0.158", "-1.856", "1.25,1.35", "0.99,0.89", 25),
+    ("-1.499", "2.186", "-3.2,-2.11", "0.7,0.09", 30),
+    ("0.426,-1.199", "2.936", "-0.17,3.29", "-0.76,1.41", 60),
+    ("-1.277,-0.874,0.41", "-2.907", "-0.32,-0.31", "-1.38,-0.84", 20),
+    ("1.1", "-1.903", "1.93,-1.25", "0,0.81", 30),
+    ("-0.91,1.35", "2.293", "-0.68,0.36", "4.08,1.01", 60),
+    ("0.719,-0.325,-0.238", "2.429", "-2.09,-0.27", "0.47,-0.07", 20),
+    ("0.178", "2.114", "-1.01,5.24", "0.12,0.42", 50),
+    ("-0.266,-0.753", "-2.72", "-3.05,-0.6", "0.53,0.35", 40),
+    ("1.441,0.471,0.574", "0.507", "0.23,0.05", "1.6,-1.01", 25),
+    ("-1.436", "0.817", "-0.25,-2.04", "0.93,0", 20),
+    ("-0.397,-1.367", "2.617", "4.04,4.28", "-0.52,0.81", 60),
+    ("1", "1", "0.6,0", "0,0", 60),
+    ("0.8,-0.6,1.2", "1.3", "0.5,-0.3", "0.2,0.4", 40),
+    # two operations of the benchmark's oracle_check workload
+    ("1.266227,1.267178", "0.43842996136897716", "0.466615,-1.779562", "0.801919,-1.07282", 60),
+    ("1.130225,0.588157", "0.6164324745631548", "-0.290916,-0.114403", "-1.208544,-1.172402", 60),
+]
+
+
+class TestPrintedDefect:
+    """When the transform is right, the evolved state is the truncated
+    prediction, so the report's fidelity is (1 - tau)^2 and its evolved norm
+    sqrt(1 - tau): both hold to the rounding of the evolution, a few 1e-15,
+    far inside the fidelity threshold's 1e-3."""
+
+    def test_scalars_sit_at_their_exact_values(self, tmp_path):
+        # an entry of the transform off by 1e-5 moves the fidelity by about
+        # 1e-10; 1e-13 is 12 times the worst defect of these inputs, 8.2e-15
+        out = tmp_path / "report.json"
+        for couplings, time, alpha, beta, cutoff in DEFECT_INPUTS:
+            argv = [
+                "oracle", f"--couplings={couplings}", f"--time={time}", f"--alpha={alpha}", f"--beta={beta}",
+                "--cutoff", str(cutoff), "--out", str(out),
+            ]
+            assert main(argv) == 0
+            report = json.loads(out.read_text())
+            tail = report["truncation_tail"]
+            assert abs(report["fidelity"] - (1.0 - tail) ** 2) <= 1e-13, argv
+            assert abs(report["evolved_norm"] - math.sqrt(1.0 - tail)) <= 1e-13, argv
