@@ -95,7 +95,7 @@ def run_trials(
     if m < 2:
         raise InfoCloneError(f"n_trials must be >= 2, got {n_trials!r}")
     seed = require_seed(seed)
-    gamma = require_finite_complex(clone_amplitude(strategy, true_alpha), "gamma")
+    gamma = clone_amplitude(strategy, true_alpha)
     n_position, n_momentum = group_sizes(strategy.n_copies)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     xi = rng.standard_normal((m, 2))

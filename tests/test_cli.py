@@ -281,12 +281,23 @@ class TestEstimateCommand:
         assert "OverflowError" in capsys.readouterr().err
 
     def test_overflowing_campaign_names_the_input(self, run_cli, capsys):
-        # the estimates are finite, but their sum overflows a double
-        code, _ = run_cli("estimate", "--n-copies", "2", "--trials", "3", "--alpha=1e308,0")
-        assert code == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: InfoCloneError: alpha = (1e+308+0j) with beta = 0j")
-        assert "overflows a double" in line
+        for argv, names in (
+            # the estimates are finite, but their sum overflows a double
+            (["--n-copies", "2", "--trials", "3", "--alpha=1e308,0"], "alpha = (1e+308+0j) with beta = 0j"),
+            # each input is finite, but the clone amplitude is not
+            (
+                ["--strategy", "offset", "--n-copies", "2", "--alpha=-1.7e308,0", "--beta=1.7e308,0"],
+                "alpha = (-1.7e+308+0j) with beta = (1.7e+308+0j)",
+            ),
+            (
+                ["--strategy", "offset", "--n-copies", "2", "--alpha=0,-1.7e308", "--beta=0,1.7e308"],
+                "alpha = -1.7e+308j with beta = 1.7e+308j",
+            ),
+        ):
+            code, _ = run_cli("estimate", *argv)
+            assert code == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: InfoCloneError: {names} overflows a double"), line
 
     def test_overflowing_transform_names_the_cause(self, run_cli, capsys):
         # each input is finite, but alpha + beta in the outputs is not
@@ -563,6 +574,27 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# Runs the command in its arguments and prints its exit code and peak RSS in
+# kB, as os.wait4 reads them. A process takes, at exec, the peak RSS of the
+# process it was started from as its own: started from this test process, a
+# run would read the suite's peak. This interpreter is small, so the command
+# it starts reads its own.
+_REPORT_PEAK = (
+    "import os, sys; _, status, usage = os.wait4(os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ), 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def process_peak(argv: list[str], timeout: int) -> float:
+    """The peak RSS, in MB, of `python -m infoclone` argv in a new process,
+    which must exit 0 within timeout seconds."""
+    command = ["timeout", str(timeout), sys.executable, "-m", "infoclone", *argv, "--out", os.devnull]
+    proc = _fresh_python("-c", _REPORT_PEAK, *command)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, (argv, proc.stderr)
+    return peak / 1024
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "report.json"
     proc = _fresh_python("-m", "infoclone", "transform", "--couplings", "1", "--time", "0", "--out", str(out))
@@ -570,65 +602,32 @@ def test_module_entry_point(tmp_path):
     assert json.loads(out.read_text())["command"] == "transform"
 
 
-# Prints, as one JSON object, the modules loaded after each step: infoclone's,
-# and any third-party one other than numpy; the other checks raise in the
-# child. Only modules loaded since the child started count, so what .pth
-# files preload does not, and neither do the spec-less modules numpy's
-# Cython extensions register. secrets pulls in hashlib and OpenSSL, which
-# neither the CLI nor --randomize needs.
-_IMPORT_BOUNDARY = """
-import sys
-start = set(sys.modules)
-import json, os
-
-allowed = sys.stdlib_module_names | {"infoclone", "numpy"}
-
-def modules():
-    return sorted(
-        n for n, module in sys.modules.items()
-        if n.split(".")[0] == "infoclone"
-        or (n not in start and getattr(module, "__spec__", None) is not None and n.split(".")[0] not in allowed)
+def test_oracle_process_peak_follows_the_occupied_sectors():
+    # the deepest one-ancilla oracle the 10^6-amplitude budget admits:
+    # K' = 13, 105 rows in one band
+    one_ancilla = ["oracle", "--couplings", "1", "--time", "1", "--cutoff", "1412"]
+    shallow = process_peak([*one_ancilla, "--alpha=0.6,0"], 10)
+    assert shallow <= 60
+    # K' = 581 (169,653 rows in 45 bands), and an input that fills its cutoff
+    # (K' = K = 99, 171,700 rows in 50 bands): no array of either run is
+    # sized by the rows of sectors 0..K'. Measured against the shallow run
+    # of the same interpreter, the bounds hold whatever numpy's own
+    # footprint is. On a 2-CPU Linux VM (Python 3.11, numpy 2.4) the deep run
+    # peaked -0.1 to 0.4 MB and the filled one 0.4 to 1.0 MB above the
+    # shallow run over 35 runs; with every row in one band, 20 and 25 MB.
+    # The filled run's strict memory check is its traced peak, in test_fock.
+    deep = process_peak([*one_ancilla, "--alpha=20,0"], 30)
+    assert deep - shallow <= 1
+    filled = process_peak(
+        ["oracle", "--couplings", "1,1", "--time", "1", "--alpha", "4,2", "--beta", "3,2", "--cutoff", "99"], 10
     )
-
-def assert_no_attribute(name):
-    try:
-        getattr(infoclone, name)
-    except AttributeError as exc:
-        assert name in str(exc), exc
-    else:
-        raise AssertionError(f"infoclone.{name} did not raise")
-
-loaded = {}
-import infoclone
-loaded["import infoclone"] = modules()
-import infoclone.cli
-loaded["import infoclone.cli"] = modules()
-assert "secrets" not in sys.modules
-for argv in (
-    ["transform", "--couplings", "1,1", "--time", "0.5", "--randomize"],
-    ["estimate", "--trials", "20"],
-    ["sweep", "--grid-axis", "n-copies", "--grid-values", "2,3", "--trials", "20"],
-):
-    assert infoclone.cli.main([*argv, "--out", os.devnull]) == 0, argv
-    loaded[argv[0]] = modules()
-    if argv[0] == "transform":
-        assert "secrets" not in sys.modules
-# infoclone.fock is imported by its own name only
-for name in ("no_such_name", "overlap", "truncation_tail"):
-    assert_no_attribute(name)
-loaded["infoclone.no_such_name"] = modules()
-argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha", "0.3,0", "--cutoff", "10", "--out", os.devnull]
-assert infoclone.cli.main(argv) == 0
-loaded["oracle"] = modules()
-assert_no_attribute("overlap")
-print(json.dumps(loaded))
-"""
+    assert filled - shallow <= 2
 
 
 def test_no_command_imports_a_third_party_module_but_numpy():
     # the campaigns load the pipeline's modules and, outside the stdlib,
     # numpy alone; oracle adds infoclone.fock and nothing else
-    proc = _fresh_python("-c", _IMPORT_BOUNDARY)
+    proc = _fresh_python(str(Path(__file__).with_name("import_boundary.py")))
     assert proc.returncode == 0, proc.stderr
     package = ["infoclone", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]
     pipeline = sorted([*package, "infoclone.cli"])
