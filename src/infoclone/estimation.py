@@ -17,8 +17,10 @@ For even N both quadratures give 1/sqrt(2) for the optimal choice (for any
 number of clones), 1 for the offset choice, and (1/sqrt(2))/(1-epsilon) for
 the near-optimal choice. For odd N the position quadrature, measured on the
 larger group, is the tighter one. A campaign draws each trial's two group
-averages, not the clones behind them. A campaign's result is its report
-row, the dict that ``report.schema.json`` describes as ``$defs.row``.
+averages, not the clones behind them, a chunk of at most _CHUNK trials at a
+time: its time grows as O(trials) and its memory as O(_CHUNK). A campaign's
+result is its report row, the dict that ``report.schema.json`` describes as
+``$defs.row``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import InfoCloneError, require_finite_complex, require_integer, req
 from .transform import StrategySpec
 
 __all__ = [
+    "MAX_TRIALS",
     "clone_amplitude",
     "estimate_alpha",
     "group_sizes",
@@ -39,6 +42,12 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# Trials drawn, estimated and reduced at a time. A chunk's arrays take about
+# 32 bytes a trial, 2 MB in all, whatever the campaign's length.
+_CHUNK = 2**16
+# The longest campaign accepted. At about 60 ns a trial it runs for about a
+# minute; a larger count is refused at once instead of running for hours.
+MAX_TRIALS = 10**9
 
 
 def group_sizes(n_copies: int) -> tuple[int, int]:
@@ -56,9 +65,17 @@ def clone_amplitude(strategy: StrategySpec, alpha: complex) -> complex:
 
 
 def estimate_alpha(y, z, strategy: StrategySpec):
-    """Invert the clone map on the group averages y and z, numbers or arrays."""
-    shifted = (y + 1j * z) / _SQRT2 - strategy.offset_scale * strategy.beta
-    return shifted / strategy.signal_scale
+    """Invert the clone map on the group averages y and z, numbers or arrays.
+
+    On arrays the estimates are built in one new complex array, in place;
+    y and z are left as they are.
+    """
+    shifted = z * 1j
+    shifted += y
+    shifted /= _SQRT2
+    shifted -= strategy.offset_scale * strategy.beta
+    shifted /= strategy.signal_scale
+    return shifted
 
 
 def theoretical_std(strategy: StrategySpec) -> tuple[float, float]:
@@ -69,6 +86,37 @@ def theoretical_std(strategy: StrategySpec) -> tuple[float, float]:
     return (
         math.sqrt(n / (4.0 * n_position)) / scale,
         math.sqrt(n / (4.0 * n_momentum)) / scale,
+    )
+
+
+def _chunk_moments(estimates: np.ndarray, scratch: np.ndarray) -> tuple[int, complex, float, float]:
+    """(count, mean, M2_re, M2_im) of one chunk's estimates.
+
+    M2 is a quadrature's sum of squared deviations from its own mean, in the
+    arithmetic of numpy's std, so sqrt(M2/(count - 1)) is std(ddof=1) to the
+    bit. The deviations are written into scratch, a (count, 2) float array.
+    """
+    count = estimates.size
+    m2 = []
+    for part, deviation in zip((estimates.real, estimates.imag), scratch.T):
+        np.subtract(part, part.sum() / count, out=deviation)
+        np.square(deviation, out=deviation)
+        m2.append(float(deviation.sum()))
+    return count, complex(estimates.mean()), m2[0], m2[1]
+
+
+def _merge(a: tuple, b: tuple) -> tuple[int, complex, float, float]:
+    """The moments of two chunks taken together (Chan, Golub & LeVeque 1979)."""
+    count_a, mean_a, m2_re_a, m2_im_a = a
+    count_b, mean_b, m2_re_b, m2_im_b = b
+    count = count_a + count_b
+    delta = mean_b - mean_a
+    weight = count_a * count_b / count
+    return (
+        count,
+        mean_a + delta * (count_b / count),
+        m2_re_a + m2_re_b + delta.real**2 * weight,
+        m2_im_a + m2_im_b + delta.imag**2 * weight,
     )
 
 
@@ -83,29 +131,51 @@ def run_trials(
     The mean of n iid Normal(mu, 1/2) samples is Normal(mu, 1/(2n)), so trial
     i draws its group averages y and z directly, from standard normals 2i and
     2i+1 of the Philox stream of SeedSequence(seed); the cost does not depend
-    on N. The row is reproducible bit for bit, and a longer campaign with
-    the same seed starts with the same trials. std_re and std_im are sample
-    standard deviations (n_trials - 1 divisor) of the per-trial estimates'
-    quadratures; theory_std_re and theory_std_im are their predicted values.
-    A campaign whose mean or std overflows a double is refused with an
-    InfoCloneError.
+    on N. The trials are drawn, estimated and reduced _CHUNK at a time, so
+    the memory does not depend on n_trials either; chunked draws are the
+    same numbers as one draw of all of them. The row is reproducible bit for
+    bit, and a longer campaign with the same seed starts with the same
+    trials. std_re and std_im are sample standard deviations (n_trials - 1
+    divisor) of the per-trial estimates' quadratures; theory_std_re and
+    theory_std_im are their predicted values. Each chunk is reduced to its
+    count, mean and per-quadrature M2, and the chunks are merged in order: a
+    campaign of one chunk prints the estimates' numpy mean and std(ddof=1)
+    exactly, a longer one agrees with them to rounding. More than MAX_TRIALS
+    trials, or a campaign whose mean or std overflows a double, is refused
+    with an InfoCloneError.
     """
     true_alpha = require_finite_complex(true_alpha, "true_alpha")
     m = require_integer(n_trials, "n_trials")
     if m < 2:
         raise InfoCloneError(f"n_trials must be >= 2, got {n_trials!r}")
+    if m > MAX_TRIALS:
+        raise InfoCloneError(f"n_trials must be <= {MAX_TRIALS}, got {n_trials!r}")
     seed = require_seed(seed)
     gamma = clone_amplitude(strategy, true_alpha)
     n_position, n_momentum = group_sizes(strategy.n_copies)
+    center_y, spread_y = _SQRT2 * gamma.real, math.sqrt(2.0 * n_position)
+    center_z, spread_z = _SQRT2 * gamma.imag, math.sqrt(2.0 * n_momentum)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xi = rng.standard_normal((m, 2))
+    # one buffer holds a chunk's normals, then its group averages y and z
+    # (in place), then its deviations: only the estimates are allocated per
+    # chunk, so every chunk after the first reuses the first one's memory
+    buffer = np.empty((min(_CHUNK, m), 2))
+    moments = None
     with np.errstate(all="ignore"):
-        y = _SQRT2 * gamma.real + xi[:, 0] / math.sqrt(2.0 * n_position)
-        z = _SQRT2 * gamma.imag + xi[:, 1] / math.sqrt(2.0 * n_momentum)
-        estimates = estimate_alpha(y, z, strategy)
-        mean = complex(estimates.mean())
-        std_re = float(estimates.real.std(ddof=1))
-        std_im = float(estimates.imag.std(ddof=1))
+        for start in range(0, m, _CHUNK):
+            xi = rng.standard_normal(out=buffer[: m - start])
+            y, z = xi.T
+            y /= spread_y
+            y += center_y
+            z /= spread_z
+            z += center_z
+            estimates = estimate_alpha(y, z, strategy)
+            chunk = _chunk_moments(estimates, xi)
+            del estimates
+            moments = chunk if moments is None else _merge(moments, chunk)
+    _, mean, m2_re, m2_im = moments
+    std_re = math.sqrt(m2_re / (m - 1))
+    std_im = math.sqrt(m2_im / (m - 1))
     if not all(map(math.isfinite, (mean.real, mean.imag, std_re, std_im))):
         raise InfoCloneError(
             f"alpha = {true_alpha!r} with beta = {strategy.beta!r} overflows a double: "

@@ -12,6 +12,7 @@ import pytest
 
 from infoclone import StrategySpec, run_trials
 from infoclone.cli import DEFAULT_SEED, main
+from infoclone.estimation import MAX_TRIALS
 
 
 def load_schema():
@@ -259,10 +260,14 @@ class TestEstimateCommand:
         assert len([line for line in lines if line]) == 2
 
     def test_memory_error_exit_code(self, run_cli, capsys):
-        # numpy refuses the 14.6 TiB draw request before allocating anything
+        # a campaign runs in bounded memory, so 10^12 trials would run for
+        # hours; the cap refuses it before drawing anything
         code, _ = run_cli("estimate", "--trials", "1000000000000")
         assert code == 2
-        assert "MemoryError" in capsys.readouterr().err
+        assert (
+            f"error: InfoCloneError: n_trials must be <= {MAX_TRIALS}, got 1000000000000"
+            in capsys.readouterr().err
+        )
 
     def test_huge_clone_count_is_cheap(self, run_cli):
         # a campaign draws the group averages, not the clones, so N costs nothing
@@ -622,6 +627,14 @@ def test_oracle_process_peak_follows_the_occupied_sectors():
         ["oracle", "--couplings", "1,1", "--time", "1", "--alpha", "4,2", "--beta", "3,2", "--cutoff", "99"], 10
     )
     assert filled - shallow <= 2
+
+
+def test_campaign_process_peak_does_not_grow_with_its_trials():
+    # one chunk of 2^16 trials against 46 chunks: a campaign's arrays are one
+    # chunk's, so the long run peaks no higher (about 180 MB higher when
+    # every trial was held at once)
+    one_chunk = process_peak(["estimate", "--trials", "65536"], 10)
+    assert process_peak(["estimate", "--trials", "3000000"], 10) - one_chunk <= 1
 
 
 def test_no_command_imports_a_third_party_module_but_numpy():

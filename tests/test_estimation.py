@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from infoclone import InfoCloneError, StrategySpec, run_trials
-from infoclone.estimation import clone_amplitude, estimate_alpha, group_sizes, theoretical_std
+from infoclone.estimation import (
+    _CHUNK,
+    MAX_TRIALS,
+    clone_amplitude,
+    estimate_alpha,
+    group_sizes,
+    theoretical_std,
+)
 from infoclone.transform import CouplingConfig, apply_transform, build_transform
 from reference import measure_clones
 
@@ -92,6 +100,19 @@ class TestEstimateAlpha:
         record = noise_free_record(clone_amplitude(strategy, alpha))
         assert estimate_alpha(*record, strategy) == pytest.approx(alpha, abs=1e-10)
 
+    def test_leaves_its_inputs_as_they_are(self):
+        strategy = StrategySpec("near-optimal", 9, epsilon=0.2, beta=3.0 - 1.0j)
+        y, z = np.random.default_rng(5).normal(size=(2, 50))
+        y_before, z_before = y.copy(), z.copy()
+        estimates = estimate_alpha(y, z, strategy)
+        assert np.array_equal(y, y_before) and np.array_equal(z, z_before)
+        # the in-place steps give the bits of the one-expression inversion
+        c_beta, s = strategy.offset_scale * strategy.beta, strategy.signal_scale
+        assert np.array_equal(estimates, ((y + 1j * z) / SQRT2 - c_beta) / s)
+        scalar = estimate_alpha(0.3, -1.2, strategy)
+        assert type(scalar) is complex
+        assert scalar == ((0.3 + 1j * -1.2) / SQRT2 - c_beta) / s
+
 
 class TestTheoreticalStd:
     def test_optimal_independent_of_copies(self):
@@ -140,6 +161,11 @@ class TestRunTrials:
             with pytest.raises(InfoCloneError, match=f"n_trials must be >= 2, got {m}"):
                 run_trials(strategy, 0.1, m, seed=3)
 
+    def test_rejects_campaigns_above_the_cap(self):
+        strategy = StrategySpec("optimal", 4)
+        with pytest.raises(InfoCloneError, match=f"n_trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"):
+            run_trials(strategy, 0.1, MAX_TRIALS + 1, seed=3)
+
     def test_trial_count_must_be_an_integer(self):
         strategy = StrategySpec("optimal", 4)
         for m in (2.9, 3.0, "3"):
@@ -163,6 +189,68 @@ class TestRunTrials:
         assert complex(row["mean_re"], row["mean_im"]) == complex(estimates.mean())
         assert row["std_re"] == float(estimates.real.std(ddof=1))
         assert row["std_im"] == float(estimates.imag.std(ddof=1))
+
+    def test_multi_chunk_campaign_matches_chunked_merge(self):
+        # three chunks, the last of 5 trials
+        strategy = StrategySpec("near-optimal", 7, epsilon=0.3, beta=2.0 - 1.0j)
+        alpha = -0.4 + 1.1j
+        m, seed = 2 * _CHUNK + 5, 29
+        starts = range(0, m, _CHUNK)
+        chunked = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        draws = [chunked.standard_normal((min(_CHUNK, m - start), 2)) for start in starts]
+        xi = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal((m, 2))
+        assert np.array_equal(np.concatenate(draws), xi)
+
+        gamma = clone_amplitude(strategy, alpha)
+        n_position, n_momentum = group_sizes(strategy.n_copies)
+        count = 0
+        for start in starts:
+            block = xi[start : start + _CHUNK]
+            y = SQRT2 * gamma.real + block[:, 0] / math.sqrt(2.0 * n_position)
+            z = SQRT2 * gamma.imag + block[:, 1] / math.sqrt(2.0 * n_momentum)
+            estimates = estimate_alpha(y, z, strategy)
+            k = len(estimates)
+            chunk_mean = complex(estimates.mean())
+            chunk_m2 = [float(((q - q.mean()) ** 2).sum()) for q in (estimates.real, estimates.imag)]
+            if count == 0:
+                mean_re, mean_im, (m2_re, m2_im) = chunk_mean.real, chunk_mean.imag, chunk_m2
+            else:
+                # Chan, Golub & LeVeque's pairwise update, one quadrature at a time
+                total = count + k
+                d_re, d_im = chunk_mean.real - mean_re, chunk_mean.imag - mean_im
+                mean_re += d_re * (k / total)
+                mean_im += d_im * (k / total)
+                m2_re = m2_re + chunk_m2[0] + d_re**2 * (count * k / total)
+                m2_im = m2_im + chunk_m2[1] + d_im**2 * (count * k / total)
+            count += k
+
+        row = run_trials(strategy, alpha, m, seed=seed)
+        assert (row["mean_re"], row["mean_im"]) == (mean_re, mean_im)
+        assert row["std_re"] == math.sqrt(m2_re / (m - 1))
+        assert row["std_im"] == math.sqrt(m2_im / (m - 1))
+        # the merge agrees with the one-pass statistics of all m estimates to rounding
+        whole = estimate_alpha(
+            SQRT2 * gamma.real + xi[:, 0] / math.sqrt(2.0 * n_position),
+            SQRT2 * gamma.imag + xi[:, 1] / math.sqrt(2.0 * n_momentum),
+            strategy,
+        )
+        assert row["mean_re"] == pytest.approx(whole.real.mean(), rel=1e-13)
+        assert row["mean_im"] == pytest.approx(whole.imag.mean(), rel=1e-13)
+        assert row["std_re"] == pytest.approx(whole.real.std(ddof=1), rel=1e-13)
+        assert row["std_im"] == pytest.approx(whole.imag.std(ddof=1), rel=1e-13)
+
+    def test_memory_does_not_grow_with_the_campaign(self):
+        strategy = StrategySpec("offset", 12, beta=10.0 + 1.0j)
+        run_trials(strategy, 0.5, 2, seed=1)  # numpy.random is imported on first use
+        peaks = []
+        for m in (_CHUNK, 10**6):
+            tracemalloc.start()
+            try:
+                run_trials(strategy, 0.5, m, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
     @pytest.mark.parametrize(
         "n, trials",
