@@ -11,8 +11,10 @@ class InfoCloneError(ValueError):
 
 
 def require_finite_real(value, name: str = "value") -> float:
-    if isinstance(value, complex):
-        raise InfoCloneError(f"{name} must be real, got {value!r}")
+    """float(value) for a finite real number, numpy scalars included; text is refused, not parsed."""
+    if not isinstance(value, numbers.Real):
+        kind = "real" if isinstance(value, numbers.Complex) else "a real number"
+        raise InfoCloneError(f"{name} must be {kind}, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise InfoCloneError(f"{name} must be finite, got {value!r}")
@@ -20,6 +22,9 @@ def require_finite_real(value, name: str = "value") -> float:
 
 
 def require_finite_complex(value, name: str = "value") -> complex:
+    """complex(value) for a finite number, numpy scalars included; text is refused, not parsed."""
+    if not isinstance(value, numbers.Complex):
+        raise InfoCloneError(f"{name} must be a number, got {value!r}")
     z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InfoCloneError(

@@ -199,7 +199,10 @@ def _coherent(amps: np.ndarray, cutoff: int, basis: np.ndarray) -> np.ndarray:
     """
     # table[j, n]: the coherent amplitude of mode j at occupation n
     steps = np.empty((amps.size, cutoff + 1), dtype=complex)
-    steps[:, 0] = np.exp(-np.abs(amps) ** 2 / 2.0)
+    # exp(-|a_j|^2 / 2) is 0 in doubles once |a_j| > 39, so an |a_j|^2 past
+    # the double range rightly gives exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        steps[:, 0] = np.exp(-np.abs(amps) ** 2 / 2.0)
     steps[:, 1:] = amps[:, None] / np.sqrt(np.arange(1.0, cutoff + 1.0))
     table = np.cumprod(steps, axis=1)
     vec = table[0, basis[:, 0]]
@@ -348,10 +351,11 @@ def overlap(
     at cutoff, and its squared overlap with the truncated product predicted.
     The guards and the tail are those at cutoff; K' is taken there too, read
     off truncation_tail, and the rows of each band of sectors 0..K' are
-    built, evolved and summed in turn.
+    built, evolved and summed in turn. A non-finite predicted amplitude is
+    refused.
     """
     amps, tail, top = _admitted(amplitudes, cutoff)
-    pred = np.asarray(predicted, dtype=complex)
+    pred = np.array([require_finite_complex(p, "predicted amplitude") for p in predicted], dtype=complex)
     if not amps.size == pred.size == len(config.couplings) + 1:
         raise InfoCloneError(
             f"{amps.size} input modes, {pred.size} predicted modes and {len(config.couplings)} "

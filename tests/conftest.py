@@ -32,17 +32,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-@pytest.fixture
-def run_cli(tmp_path):
-    """Run the CLI in process, writing the report to a file, returning bytes."""
-
+@pytest.fixture(scope="module")
+def run_cli(tmp_path_factory):
+    """Run the CLI in process, each report to a file of its own; return the
+    exit code and the report's bytes (empty when none was written)."""
+    base = tmp_path_factory.mktemp("reports")
     counter = {"n": 0}
 
     def run(*args: str) -> tuple[int, bytes]:
         counter["n"] += 1
-        out = tmp_path / f"report_{counter['n']}.out"
+        out = base / f"report_{counter['n']}.out"
         code = main([*args, "--out", str(out)])
-        data = out.read_bytes() if out.exists() else b""
-        return code, data
+        return code, (out.read_bytes() if out.exists() else b"")
 
     return run

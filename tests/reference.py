@@ -9,7 +9,9 @@ distinct from the code it checks:
 - :func:`bessel_j`: Bessel values from a discrete Fourier transform, against
   the oracle's backward recurrence;
 - :func:`bessel_j_exact`: one Bessel value from its power series in decimal
-  arithmetic, for values below the 1e-16 a double FFT resolves.
+  arithmetic, for values below the 1e-16 a double FFT resolves;
+- :func:`assert_exact_oracle`: the exact values an oracle check prints when
+  the transform is right, from its truncation tail alone.
 
 The per-clone reference sampler :func:`measure_clones` simulates ideal
 quadrature measurements on clone states. A coherent state with amplitude
@@ -36,7 +38,9 @@ from infoclone.errors import InfoCloneError, require_finite_complex, require_int
 from infoclone.estimation import group_sizes
 
 __all__ = [
+    "EXACT_TOLERANCE",
     "QUADRATURE_STD",
+    "assert_exact_oracle",
     "bessel_j",
     "bessel_j_exact",
     "expm_antisymmetric",
@@ -48,6 +52,11 @@ __all__ = [
 QUADRATURE_STD = math.sqrt(0.5)
 
 _SQRT2 = math.sqrt(2.0)
+
+# How far an oracle check's evolved norm and fidelity may sit from their exact
+# values: the evolution rounds them by a few 1e-15, while one transform entry
+# off by 1e-5 moves the fidelity by about 1e-9.
+EXACT_TOLERANCE = 1e-13
 
 
 def measure_clones(
@@ -126,3 +135,18 @@ def bessel_j_exact(n: int, rho: float) -> float:
             term *= -square / (k * (k + n))
             total += term
         return float(total)
+
+
+def assert_exact_oracle(evolved_norm: float, fidelity: float, tail: float) -> None:
+    """Assert that an oracle check printed the values of a right transform.
+
+    Each kept sector evolves exactly and the transform keeps sum |a|^2, so
+    the evolved state is the truncated prediction: its norm is
+    sqrt(1 - tail) and its fidelity with the prediction (1 - tail)^2.
+    """
+    norm_defect = abs(evolved_norm - math.sqrt(1.0 - tail))
+    fidelity_defect = abs(fidelity - (1.0 - tail) ** 2)
+    assert norm_defect <= EXACT_TOLERANCE and fidelity_defect <= EXACT_TOLERANCE, (
+        f"evolved_norm {evolved_norm!r} is {norm_defect:.3g} and fidelity {fidelity!r} is "
+        f"{fidelity_defect:.3g} from their exact values at truncation tail {tail!r}"
+    )

@@ -14,7 +14,6 @@ from infoclone import (
     orthogonality_residual,
     run_trials,
 )
-from infoclone.cli import main
 from infoclone.estimation import clone_amplitude, estimate_alpha
 from infoclone.fock import overlap
 from reference import generator_exponential, measure_clones
@@ -26,27 +25,13 @@ SEED = "1234567"
 OPTIMAL_STD = math.sqrt(0.5)
 
 
-@pytest.fixture(scope="module")
-def cli_runner(tmp_path_factory):
-    base = tmp_path_factory.mktemp("acceptance")
-    counter = {"n": 0}
-
-    def run(*args: str) -> tuple[int, bytes]:
-        counter["n"] += 1
-        out = base / f"report_{counter['n']}.out"
-        code = main([*args, "--out", str(out)])
-        return code, (out.read_bytes() if out.exists() else b"")
-
-    return run
-
-
 def rows_of(report_bytes: bytes) -> list[dict]:
     return json.loads(report_bytes.decode("utf-8"))["rows"]
 
 
 @pytest.fixture(scope="module")
-def optimal_row(cli_runner):
-    code, out = cli_runner(
+def optimal_row(run_cli):
+    code, out = run_cli(
         "estimate", "--strategy", "optimal", "--n-copies", "100",
         "--alpha", ALPHA, "--trials", TRIALS, "--seed", SEED,
     )
@@ -55,8 +40,8 @@ def optimal_row(cli_runner):
 
 
 @pytest.fixture(scope="module")
-def offset_row(cli_runner):
-    code, out = cli_runner(
+def offset_row(run_cli):
+    code, out = run_cli(
         "estimate", "--strategy", "offset", "--n-copies", "100", "--beta", "50,0",
         "--alpha", ALPHA, "--trials", TRIALS, "--seed", SEED,
     )
@@ -65,8 +50,8 @@ def offset_row(cli_runner):
 
 
 @pytest.fixture(scope="module")
-def near_optimal_rows(cli_runner):
-    code, out = cli_runner(
+def near_optimal_rows(run_cli):
+    code, out = run_cli(
         "sweep", "--strategy", "near-optimal", "--n-copies", "100", "--beta", "50,0",
         "--grid-axis", "epsilon", "--grid-values", "0.05,0.1,0.2",
         "--alpha", ALPHA, "--trials", TRIALS, "--seed", SEED,
@@ -89,8 +74,8 @@ def test_criterion_1_optimal_variance(acceptance, optimal_row):
     )
 
 
-def test_criterion_2_error_independent_of_copies(acceptance, cli_runner):
-    code, out = cli_runner(
+def test_criterion_2_error_independent_of_copies(acceptance, run_cli):
+    code, out = run_cli(
         "sweep", "--strategy", "optimal", "--grid-axis", "n-copies",
         "--grid-values", "10,100,1000", "--alpha", ALPHA,
         "--trials", TRIALS, "--seed", SEED,
@@ -293,7 +278,7 @@ def test_criterion_8_disentanglement_oracle(acceptance):
     )
 
 
-def test_criterion_9_reproducibility(acceptance, cli_runner, tmp_path):
+def test_criterion_9_reproducibility(acceptance, run_cli, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"strategy": "offset", "beta": [50.0, 0.0], "trials": 400}))
     invocations = [
@@ -308,8 +293,8 @@ def test_criterion_9_reproducibility(acceptance, cli_runner, tmp_path):
     ]
     ok = True
     for argv in invocations:
-        code_a, first = cli_runner(*argv)
-        code_b, second = cli_runner(*argv)
+        code_a, first = run_cli(*argv)
+        code_b, second = run_cli(*argv)
         ok = ok and code_a == code_b and first == second and first != b""
     acceptance(
         9,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -273,22 +274,9 @@ class TestRunTrials:
             assert abs(mean - values.mean()) <= 5.0 * math.sqrt((std**2 + ref_std**2) / trials)
             assert abs(std - ref_std) <= 5.0 * math.sqrt((std**2 + ref_std**2) / (2 * (trials - 1)))
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            StrategySpec("optimal", 100),
-            StrategySpec("offset", 100, beta=50.0),
-            StrategySpec("near-optimal", 100, epsilon=0.1, beta=50.0),
-        ],
-        ids=["optimal", "offset", "near-optimal"],
-    )
-    def test_unbiased(self, strategy):
-        alpha = 2.1 - 3.4j
-        trials = 20000
-        row = run_trials(strategy, alpha, trials, seed=8)
-        scale = 5.0 / math.sqrt(trials)
-        assert abs(row["mean_re"] - alpha.real) <= scale * row["theory_std_re"]
-        assert abs(row["mean_im"] - alpha.imag) <= scale * row["theory_std_im"]
+    def test_text_alpha_is_refused(self):
+        with pytest.raises(InfoCloneError, match=re.escape("true_alpha must be a number, got '1+2j'")):
+            run_trials(StrategySpec("optimal", 4), "1+2j", 10, 1)
 
     def test_unbiased_at_random_alpha(self):
         rng = np.random.default_rng(44)

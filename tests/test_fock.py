@@ -25,7 +25,7 @@ from infoclone.fock import (
 )
 from infoclone.estimation import clone_amplitude
 from infoclone.transform import CouplingConfig, StrategySpec, apply_transform, build_transform
-from reference import bessel_j, bessel_j_exact, expm_antisymmetric
+from reference import assert_exact_oracle, bessel_j, bessel_j_exact, expm_antisymmetric
 
 
 def coherent(amps, cutoff):
@@ -272,16 +272,16 @@ class TestBasis:
                         images.append(index[tuple(moved)])
                     assert images == list(range(offset, len(rows)))
 
-    def test_built_once_per_oracle_run(self, rows_calls, tmp_path):
+    def test_built_once_per_oracle_run(self, rows_calls, run_cli):
         # an oracle run builds the rows of each band of sectors 0..K' once,
         # and the band's input, evolution and prediction all use them
         argv = ["oracle", "--couplings", "1,2", "--time", "0.5", "--alpha=0.5,0", "--cutoff", "12"]
-        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert run_cli(*argv)[0] == 0
         assert rows_calls == band_calls(3, top_sector([0.5, 0.0, 0.0], 12))
         rows_calls.clear()
         # one ancilla at --alpha=12,0: K' = 257 in 10 bands, each built once
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=12,0", "--cutoff", "1412"]
-        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert run_cli(*argv)[0] == 0
         assert rows_calls == band_calls(2, 257) and len(rows_calls) == 10
 
     def test_built_in_little_more_than_its_size(self):
@@ -465,26 +465,7 @@ class TestEvolve:
         with pytest.raises(InfoCloneError, match=re.escape(message)):
             overlap([0.5, 0.0], [0.5, 0.0], cfg, 10)
 
-    def test_products_stay_products_single_ancilla(self):
-        rng = np.random.default_rng(22)
-        for _ in range(6):
-            cfg = CouplingConfig([float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))],
-                                 float(rng.uniform(-3.0, 3.0)))
-            amps = [complex(*rng.uniform(-0.57, 0.57, 2)) for _ in range(2)]
-            predicted = apply_transform(build_transform(cfg), amps)
-            assert overlap(amps, predicted, cfg, 25)[1] >= 0.999
-
-    def test_products_stay_products_two_ancillas(self):
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            cfg = CouplingConfig(rng.uniform(-1.5, 1.5, size=2), float(rng.uniform(-2.0, 2.0)))
-            amps = [complex(*rng.uniform(-0.57, 0.57, 2)) for _ in range(3)]
-            predicted = apply_transform(build_transform(cfg), amps)
-            assert overlap(amps, predicted, cfg, 12)[1] >= 0.999
-
     def test_fidelity_is_truncated_weight_squared(self):
-        # each kept sector evolves exactly and the transform keeps sum |a|^2,
-        # so the evolved state is the truncated prediction: F = (1 - tau)^2
         rng = np.random.default_rng(24)
         tails = []
         for n_ancillas in (1, 2, 3, 4, 1, 2, 3, 4):
@@ -492,9 +473,9 @@ class TestEvolve:
             amps = [complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(n_ancillas + 1)]
             # the smallest cutoff that keeps the tail at or below 1e-6
             cutoff = next(k for k in itertools.count(1) if truncation_tail(amps, k) <= 1e-6)
-            tail = truncation_tail(amps, cutoff)
             predicted = apply_transform(build_transform(cfg), amps)
-            assert abs(overlap(amps, predicted, cfg, cutoff)[1] - (1.0 - tail) ** 2) <= 1e-12
+            evolved_norm, fid, tail = overlap(amps, predicted, cfg, cutoff)
+            assert_exact_oracle(evolved_norm, fid, tail)
             tails.append(tail)
         assert max(tails) > 1e-8
 
@@ -510,10 +491,10 @@ class TestSectorBound:
         # at K' = 0 the basis is the vacuum row alone
         np.testing.assert_array_equal(kept, _rows(n_modes, 0, top))
 
-    def test_cost_follows_the_input(self, monkeypatch, rows_calls, rhos, tmp_path):
+    def test_cost_follows_the_input(self, monkeypatch, rows_calls, rhos, run_cli):
         # |R*t| = 1; no weight above sector 13 worth keeping, out of 1000
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0.6,0", "--cutoff", "1000"]
-        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert run_cli(*argv)[0] == 0
         assert len(rhos) == 1 and 0 < rhos[0] <= 30.0
         # an input with weight worth keeping in every sector keeps them all:
         # rho = |R*t| * cutoff
@@ -529,7 +510,7 @@ class TestSectorBound:
         rhos.clear()
         rows_calls.clear()
         edge = ["oracle", "--couplings", "1", "--time", "1", "--alpha=3.9,0", "--cutoff", "60"]
-        assert main([*edge, "--out", str(tmp_path / "report.json")]) == 0
+        assert run_cli(*edge)[0] == 0
         assert top_sector([3.9, 0.0], 59) == 58
         assert rows_calls == band_calls(2, 59) == [(2, 0, 59)]
         assert rhos == [59.0]
@@ -541,7 +522,7 @@ class TestSectorBound:
         monkeypatch.setattr(fock, "_BAND_ROWS", 64)
         rhos.clear()
         rows_calls.clear()
-        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert run_cli(*argv)[0] == 0
         assert rhos == [1.0 * k for k in (8, 12, 13)]
         assert rows_calls == band_calls(2, 13) and [hi for _, _, hi in rows_calls] == [8, 12, 13]
         rhos.clear()
@@ -587,7 +568,7 @@ class TestSectorBound:
         # the bisection probes k = 0, where the tail must be summed directly
         assert top_sector([3e-5, 0.0], 5) == 1
 
-    def test_oracle_run_is_sized_by_its_input(self, tmp_path):
+    def test_oracle_run_is_sized_by_its_input(self, tmp_path, run_cli):
         # the deepest one-ancilla run the budget admits builds nothing of its
         # 998,991 states: every state lives at K' = 13. The guards and the
         # report still read the cutoff asked for.
@@ -600,9 +581,9 @@ class TestSectorBound:
         # the tail at 1412 underflows to 0; the one at K' does not
         assert report["truncation_tail"] == truncation_tail([0.6, 0.0], 1412) == 0.0
         assert truncation_tail([0.6, 0.0], 13) > 0.0
-        argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=0,0", "--cutoff", "5", "--out", str(out)]
-        assert main(argv) == 0
-        report = json.loads(out.read_text())
+        code, out = run_cli("oracle", "--couplings", "1", "--time", "1", "--alpha=0,0", "--cutoff", "5")
+        assert code == 0
+        report = json.loads(out)
         assert (report["evolved_norm"], report["fidelity"]) == (1, 1)
 
     @staticmethod
@@ -691,6 +672,20 @@ class TestOverlap:
         for cutoff in (1, 8, 40):
             assert overlap([0.0] * 3, [0.0] * 3, config, cutoff) == (1.0, 1.0, 0.0)
 
+    def test_non_finite_prediction_is_refused(self):
+        config = CouplingConfig([1.0], 0.3)
+        message = "predicted amplitude must have finite real and imaginary parts, got nan"
+        with pytest.raises(InfoCloneError, match=message):
+            overlap([0.5, 0.1], [math.nan, 0.1], config, 10)
+
+    def test_overflowing_prediction_has_zero_fidelity(self):
+        # |1e200|^2 overflows a double: the predicted product's vacuum weight
+        # exp(-|a|^2 / 2) is 0, without an overflow warning
+        config = CouplingConfig([1.0], 0.3)
+        evolved_norm, fid, tail = overlap([0.5, 0.1], [1e200, 0.1], config, 10)
+        assert fid == 0.0
+        assert (evolved_norm, tail) == overlap([0.5, 0.1], [0.5, 0.1], config, 10)[::2]
+
     def test_mode_counts_must_agree(self):
         config = CouplingConfig([0.7, -1.1], 1.3)
         with pytest.raises(InfoCloneError, match="3 input modes, 2 predicted modes and 2 couplings"):
@@ -724,8 +719,7 @@ class TestStrategyOracle:
         cfg = CouplingConfig([1.0] * n, math.asin(spec.sin_rt) / math.sqrt(n))
         amps = [self.ALPHA] + [beta] * n
         held = spec.offset_scale * self.ALPHA + spec.sin_rt * math.sqrt(n) * beta
-        fid = overlap(amps, [held] + [clone_amplitude(spec, self.ALPHA)] * n, cfg, 6)[1]
-        assert abs(fid - (1.0 - truncation_tail(amps, 6)) ** 2) <= 1e-12
+        assert_exact_oracle(*overlap(amps, [held] + [clone_amplitude(spec, self.ALPHA)] * n, cfg, 6))
 
 
 class TestFidelity:
@@ -769,6 +763,8 @@ DEFECT_INPUTS = [
     ("-0.397,-1.367", "2.617", "4.04,4.28", "-0.52,0.81", 60),
     ("1", "1", "0.6,0", "0,0", 60),
     ("0.8,-0.6,1.2", "1.3", "0.5,-0.3", "0.2,0.4", 40),
+    # a quarter turn moves the held amplitude onto the ancilla: (0.6, 0) -> (0, -0.6)
+    ("1", repr(math.pi / 2), "0.6,0", "0,0", 25),
     # two operations of the benchmark's oracle_check workload
     ("1.266227,1.267178", "0.43842996136897716", "0.466615,-1.779562", "0.801919,-1.07282", 60),
     ("1.130225,0.588157", "0.6164324745631548", "-0.290916,-0.114403", "-1.208544,-1.172402", 60),
@@ -776,22 +772,17 @@ DEFECT_INPUTS = [
 
 
 class TestPrintedDefect:
-    """When the transform is right, the evolved state is the truncated
-    prediction, so the report's fidelity is (1 - tau)^2 and its evolved norm
-    sqrt(1 - tau): both hold to the rounding of the evolution, a few 1e-15,
-    far inside the fidelity threshold's 1e-3."""
+    """When the transform is right, the report's evolved norm and fidelity
+    sit at their exact values, to the rounding of the evolution, far inside
+    the fidelity threshold's 1e-3."""
 
-    def test_scalars_sit_at_their_exact_values(self, tmp_path):
-        # an entry of the transform off by 1e-5 moves the fidelity by about
-        # 1e-10; 1e-13 is 12 times the worst defect of these inputs, 8.2e-15
-        out = tmp_path / "report.json"
+    def test_scalars_sit_at_their_exact_values(self, run_cli):
+        # the worst defect of these inputs is 8.2e-15, 12 times inside the tolerance
         for couplings, time, alpha, beta, cutoff in DEFECT_INPUTS:
-            argv = [
+            code, out = run_cli(
                 "oracle", f"--couplings={couplings}", f"--time={time}", f"--alpha={alpha}", f"--beta={beta}",
-                "--cutoff", str(cutoff), "--out", str(out),
-            ]
-            assert main(argv) == 0
-            report = json.loads(out.read_text())
-            tail = report["truncation_tail"]
-            assert abs(report["fidelity"] - (1.0 - tail) ** 2) <= 1e-13, argv
-            assert abs(report["evolved_norm"] - math.sqrt(1.0 - tail)) <= 1e-13, argv
+                "--cutoff", str(cutoff),
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert_exact_oracle(report["evolved_norm"], report["fidelity"], report["truncation_tail"])

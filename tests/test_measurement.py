@@ -106,12 +106,3 @@ class TestMeasureClones:
             measure_clones(0.1, 4, 1, seed=1.5)
         measure_clones(0.1, 4, 1, seed=2**64 - 1)
 
-    def test_group_average_distribution(self):
-        # averages over the position group concentrate like 1/sqrt(N)
-        alpha, n, trials = 1.5 - 0.5j, 100, 20000
-        gamma = alpha / math.sqrt(n)
-        ys, _ = measure_clones(gamma, n, trials, seed=2024)
-        expected_mean = math.sqrt(2.0 / n) * alpha.real
-        standard_error = (1.0 / math.sqrt(n)) / math.sqrt(trials)
-        assert ys.mean() == pytest.approx(expected_mean, abs=4.0 * standard_error)
-        assert ys.std(ddof=1) == pytest.approx(1.0 / math.sqrt(n), rel=0.03)
