@@ -18,9 +18,12 @@ number of clones), 1 for the offset choice, and (1/sqrt(2))/(1-epsilon) for
 the near-optimal choice. For odd N the position quadrature, measured on the
 larger group, is the tighter one. A campaign draws each trial's two group
 averages, not the clones behind them, a chunk of at most _CHUNK trials at a
-time: its time grows as O(trials) and its memory as O(_CHUNK). A campaign's
-result is its report row, the dict that ``report.schema.json`` describes as
-``$defs.row``.
+time: its time grows as O(trials) and its memory as O(_CHUNK). Its normals
+come from the module's own counter-based stream, Philox4x32-10 (Salmon et
+al., SC'11) and Box and Muller's map, written in numpy integer and float
+operations: trial i's pair depends on the seed and i alone, and no command
+imports numpy.random. A campaign's result is its report row, the dict that
+``report.schema.json`` describes as ``$defs.row``.
 """
 
 from __future__ import annotations
@@ -42,11 +45,25 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Trials drawn, estimated and reduced at a time. A chunk's arrays take about
-# 32 bytes a trial, 2 MB in all, whatever the campaign's length.
+# Trials drawn, estimated and reduced at a time. A chunk's arrays take 32
+# bytes a trial, 2.1 MB, and the stream's work arrays 0.5 MB more:
+# tracemalloc reads a 2.7 MB peak for any campaign of at least one chunk.
 _CHUNK = 2**16
-# The longest campaign accepted. At about 60 ns a trial it runs for about a
-# minute; a larger count is refused at once instead of running for hours.
+# Trials whose Philox blocks are computed at a time, in work arrays of 56
+# bytes a trial. Smaller blocks pay numpy's per-call overhead more often, and
+# whole chunks fall out of cache: a campaign took 1.5x as long with blocks of
+# 2^11 trials and 1.2x with blocks of 2^16.
+_BLOCK = 2**13
+# Philox4x32-10's multipliers, key increments and rounds (Salmon et al. 2011)
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_PHILOX_ROUNDS = 10
+_MASK32 = 2**32 - 1
+# A 53-bit integer k times these gives -u and 2*pi*u for u = k*2^-53, bit for
+# bit: they are -1 and 2*pi scaled by a power of two
+_UNIFORM_SCALE = np.array([[-(2.0**-53)], [2.0 * math.pi * 2.0**-53]])
+# The longest campaign accepted. At about 100 ns a trial it runs for about two
+# minutes; a larger count is refused at once instead of running for hours.
 MAX_TRIALS = 10**9
 
 
@@ -89,6 +106,75 @@ def theoretical_std(strategy: StrategySpec) -> tuple[float, float]:
     )
 
 
+class _NormalStream:
+    """One seed's standard normal pairs, trial by trial.
+
+    Trial i's pair comes from the Philox4x32-10 block of counter
+    (i mod 2^32, i >> 32, 0, 0) under key (seed mod 2^32, seed >> 32). Its
+    output words w0..w3 give u1 = ((w0*2^32 + w1) >> 11)*2^-53 and u2 the same
+    way from w2 and w3, and Box and Muller's map gives the pair
+    sqrt(-2*log1p(-u1))*(cos(2*pi*u2), sin(2*pi*u2)), from numpy's log1p,
+    sqrt, cos and sin. The work arrays, for up to block trials at a time, are
+    allocated once, here.
+    """
+
+    def __init__(self, seed: int, block: int):
+        k0, k1 = seed & _MASK32, seed >> 32
+        # A round multiplies the even words (c0, c2) and mixes each product
+        # into the other pair. The words are held as the pairs (c0, c2) and
+        # (c1, c3), and each round reverses the order within them, so a round
+        # reads its odd pair backwards and its constants alternate.
+        self._rounds = []
+        for r in range(_PHILOX_ROUNDS):
+            multipliers = _PHILOX_M
+            keys = ((k1 + r * _PHILOX_W[1]) & _MASK32, (k0 + r * _PHILOX_W[0]) & _MASK32)
+            if r % 2:
+                multipliers, keys = multipliers[::-1], keys[::-1]
+            self._rounds.append((np.array(multipliers, np.uint64)[:, None], np.array(keys, np.uint64)[:, None]))
+        self._counts = np.arange(block, dtype=np.uint64)
+        self._work = np.empty((3, 2, block), np.uint64)
+
+    def words(self, first: int, n: int) -> np.ndarray:
+        """The blocks of trials first, ..., first + n - 1 as a (2, n) view of
+        the work arrays: rows w0*2^32 + w1 and w2*2^32 + w3."""
+        even, odd, product = self._work[:, :, :n]
+        # counters (c0, c2) = (i mod 2^32, 0) and (c1, c3) = (i >> 32, 0)
+        np.add(self._counts[:n], np.uint64(first), out=product[0])
+        np.bitwise_and(product[0], _MASK32, out=even[0])
+        np.right_shift(product[0], 32, out=odd[0])
+        even[1] = odd[1] = 0
+        for multipliers, keys in self._rounds:
+            np.multiply(even, multipliers, out=product)
+            np.right_shift(product, 32, out=even)
+            even ^= odd[::-1]
+            even ^= keys
+            np.bitwise_and(product, _MASK32, out=odd)
+        np.left_shift(even, 32, out=product)
+        product |= odd
+        return product
+
+    def fill(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Write the pairs of trials first, first + 1, ... into the rows of out."""
+        block = self._counts.size
+        for start in range(0, len(out), block):
+            pair = out[start : start + block]
+            n = len(pair)
+            words = self.words(first + start, n)
+            words >>= 11
+            # the spent even and odd work arrays hold the floats
+            radius, angle = uniform = self._work[0, :, :n].view(np.float64)
+            np.multiply(words, _UNIFORM_SCALE, out=uniform)
+            np.log1p(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            cos = self._work[1, 0, :n].view(np.float64)
+            np.cos(angle, out=cos)
+            np.multiply(radius, cos, out=pair[:, 0])
+            np.sin(angle, out=angle)
+            np.multiply(radius, angle, out=pair[:, 1])
+        return out
+
+
 def _chunk_moments(estimates: np.ndarray, scratch: np.ndarray) -> tuple[int, complex, float, float]:
     """(count, mean, M2_re, M2_im) of one chunk's estimates.
 
@@ -129,20 +215,22 @@ def run_trials(
     """Repeat clone-measure-estimate n_trials times; return the report row.
 
     The mean of n iid Normal(mu, 1/2) samples is Normal(mu, 1/(2n)), so trial
-    i draws its group averages y and z directly, from standard normals 2i and
-    2i+1 of the Philox stream of SeedSequence(seed); the cost does not depend
-    on N. The trials are drawn, estimated and reduced _CHUNK at a time, so
-    the memory does not depend on n_trials either; chunked draws are the
-    same numbers as one draw of all of them. The row is reproducible bit for
-    bit, and a longer campaign with the same seed starts with the same
-    trials. std_re and std_im are sample standard deviations (n_trials - 1
-    divisor) of the per-trial estimates' quadratures; theory_std_re and
-    theory_std_im are their predicted values. Each chunk is reduced to its
-    count, mean and per-quadrature M2, and the chunks are merged in order: a
-    campaign of one chunk prints the estimates' numpy mean and std(ddof=1)
-    exactly, a longer one agrees with them to rounding. More than MAX_TRIALS
-    trials, or a campaign whose mean or std overflows a double, is refused
-    with an InfoCloneError.
+    i draws its group averages y and z directly, from the first and second
+    standard normal of its pair in the seed's stream (_NormalStream: the
+    Philox4x32-10 block of counter i under the seed as key, through Box and
+    Muller's map); the cost does not depend on N. The trials are drawn,
+    estimated and reduced _CHUNK at a time, so the memory does not depend on
+    n_trials either; a trial's pair depends on the seed and i alone, whatever
+    the chunk or block it falls in. The row is reproducible bit for bit, and a
+    longer campaign with the same seed starts with the same trials. std_re and
+    std_im are sample standard deviations (n_trials - 1 divisor) of the
+    per-trial estimates' quadratures; theory_std_re and theory_std_im are
+    their predicted values. Each chunk is reduced to its count, mean and
+    per-quadrature M2, and the chunks are merged in order: a campaign of one
+    chunk prints the estimates' numpy mean and std(ddof=1) exactly, a longer
+    one agrees with them to rounding. More than MAX_TRIALS trials, or a
+    campaign whose mean or std overflows a double, is refused with an
+    InfoCloneError.
     """
     true_alpha = require_finite_complex(true_alpha, "true_alpha")
     m = require_integer(n_trials, "n_trials")
@@ -155,7 +243,7 @@ def run_trials(
     n_position, n_momentum = group_sizes(strategy.n_copies)
     center_y, spread_y = _SQRT2 * gamma.real, math.sqrt(2.0 * n_position)
     center_z, spread_z = _SQRT2 * gamma.imag, math.sqrt(2.0 * n_momentum)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    stream = _NormalStream(seed, min(_BLOCK, m))
     # one buffer holds a chunk's normals, then its group averages y and z
     # (in place), then its deviations: only the estimates are allocated per
     # chunk, so every chunk after the first reuses the first one's memory
@@ -163,7 +251,7 @@ def run_trials(
     moments = None
     with np.errstate(all="ignore"):
         for start in range(0, m, _CHUNK):
-            xi = rng.standard_normal(out=buffer[: m - start])
+            xi = stream.fill(start, buffer[: m - start])
             y, z = xi.T
             y /= spread_y
             y += center_y

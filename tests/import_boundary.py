@@ -4,10 +4,12 @@ Run it with infoclone importable: from a checkout as
 `PYTHONPATH=src python tests/import_boundary.py`, or from any directory
 against an installed package. It loads the report schema and runs every
 command, the oracle at K' = 0, 1 and K among them. It fails if a step
-imports a third-party module other than numpy, if importing the CLI or
-running `transform --randomize` imports secrets (which pulls in hashlib and
-OpenSSL), or if infoclone.fock is reached other than by its own name. It
-prints, as one JSON object, the infoclone modules loaded after each step.
+imports a third-party module other than numpy, or numpy.random (nine
+extension modules and about 5 MB, which the campaigns' own Philox stream
+replaces), if importing the CLI or running `transform --randomize` imports
+secrets (which pulls in hashlib and OpenSSL), or if infoclone.fock is
+reached other than by its own name. It prints, as one JSON object, the
+infoclone modules loaded after each step.
 
 Only modules loaded since the interpreter started count, so what .pth files
 preload does not, and neither do the spec-less modules numpy's Cython
@@ -27,12 +29,14 @@ loaded = {}
 
 
 def step(name):
-    """Record the infoclone modules loaded so far; refuse any third-party one but numpy."""
+    """Record the infoclone modules loaded so far; refuse any third-party one
+    but numpy, and numpy.random."""
     foreign = sorted({
         n.split(".")[0] for n, module in sys.modules.items()
         if n not in start and getattr(module, "__spec__", None) is not None and n.split(".")[0] not in allowed
     })
     assert not foreign, f"{name} imported {foreign}"
+    assert "numpy.random" in start or "numpy.random" not in sys.modules, f"{name} imported numpy.random"
     loaded[name] = sorted(n for n in sys.modules if n.split(".")[0] == "infoclone")
 
 

@@ -11,7 +11,12 @@ distinct from the code it checks:
 - :func:`bessel_j_exact`: one Bessel value from its power series in decimal
   arithmetic, for values below the 1e-16 a double FFT resolves;
 - :func:`assert_exact_oracle`: the exact values an oracle check prints when
-  the transform is right, from its truncation tail alone.
+  the transform is right, from its truncation tail alone;
+- :func:`philox4x32` and :func:`campaign_words`: the campaign stream's
+  Philox4x32-10 blocks, one at a time in Python integers, from the Random123
+  specification (Salmon et al., SC'11), against the package's vectorised
+  rounds. :func:`box_muller` maps their words onto normal pairs with numpy's
+  log1p, sqrt, cos and sin, the ufuncs the package's bytes depend on.
 
 The per-clone reference sampler :func:`measure_clones` simulates ideal
 quadrature measurements on clone states. A coherent state with amplitude
@@ -42,10 +47,13 @@ __all__ = [
     "QUADRATURE_STD",
     "assert_exact_oracle",
     "bessel_j",
+    "box_muller",
+    "campaign_words",
     "bessel_j_exact",
     "expm_antisymmetric",
     "generator_exponential",
     "measure_clones",
+    "philox4x32",
 ]
 
 # Per-sample quadrature noise of a coherent state: variance 1/2.
@@ -57,6 +65,48 @@ _SQRT2 = math.sqrt(2.0)
 # values: the evolution rounds them by a few 1e-15, while one transform entry
 # off by 1e-5 moves the fidelity by about 1e-9.
 EXACT_TOLERANCE = 1e-13
+
+
+_MASK32 = 2**32 - 1
+# Philox4x32's round multipliers and Weyl key increments (Random123)
+_PHILOX_M0, _PHILOX_M1 = 0xD2511F53, 0xCD9E8D57
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
+
+
+def philox4x32(counter, key, rounds: int = 10) -> tuple[int, int, int, int]:
+    """The Philox4x32 block of four 32-bit counter words under two key words.
+
+    Each round takes the 64-bit products M0*c0 and M1*c2 and outputs
+    (hi(M1*c2) ^ c1 ^ k0, lo(M1*c2), hi(M0*c0) ^ c3 ^ k1, lo(M0*c0)); the key
+    grows by (W0, W1) mod 2^32 between rounds.
+    """
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(rounds):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W0) & _MASK32, (k1 + _PHILOX_W1) & _MASK32
+        p0, p1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+    return c0, c1, c2, c3
+
+
+def campaign_words(seed: int, trial: int) -> tuple[int, int]:
+    """Trial trial's block under seed, as (w0*2^32 + w1, w2*2^32 + w3)."""
+    w0, w1, w2, w3 = philox4x32((trial & _MASK32, trial >> 32, 0, 0), (seed & _MASK32, seed >> 32))
+    return w0 << 32 | w1, w2 << 32 | w3
+
+
+def box_muller(words) -> np.ndarray:
+    """The (n, 2) normal pairs of n blocks' (w0*2^32 + w1, w2*2^32 + w3).
+
+    Each word's top 53 bits k give u = k*2^-53, and the pair is
+    sqrt(-2*log1p(-u1))*(cos(2*pi*u2), sin(2*pi*u2)), each step one numpy
+    ufunc on a contiguous array.
+    """
+    u1, u2 = (np.array([word >> 11 for word in column], dtype=float) * 2.0**-53 for column in zip(*words))
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * math.pi * u2
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
 
 def measure_clones(

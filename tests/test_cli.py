@@ -623,9 +623,22 @@ def test_campaign_process_peak_does_not_grow_with_its_trials():
     assert process_peak(["estimate", "--trials", "3000000"], 10) - one_chunk <= 1
 
 
+def test_campaign_process_peak_matches_transform():
+    # a campaign's peak is numpy's import, the pipeline's modules and one
+    # chunk's arrays, as a transform's is without the chunk: it imports no
+    # numpy.random. On a 2-CPU Linux VM (Python 3.11, numpy 2.4) estimate
+    # read -0.05 to +0.09 MB above transform over 3 runs; with numpy.random,
+    # 5.0 to 5.1 MB above it.
+    transform = process_peak(["transform", "--couplings", "1,1", "--time", "0.5"], 10)
+    estimate = process_peak(
+        ["estimate", "--strategy", "offset", "--n-copies", "10000", "--trials", "5000", "--beta", "1,1"], 10
+    )
+    assert estimate - transform <= 1
+
+
 def test_no_command_imports_a_third_party_module_but_numpy():
     # the campaigns load the pipeline's modules and, outside the stdlib,
-    # numpy alone; oracle adds infoclone.fock and nothing else
+    # numpy alone, not numpy.random; oracle adds infoclone.fock and nothing else
     proc = _fresh_python(str(Path(__file__).with_name("import_boundary.py")))
     assert proc.returncode == 0, proc.stderr
     package = ["infoclone", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]

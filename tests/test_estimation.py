@@ -1,21 +1,25 @@
 import math
+import random
 import re
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from infoclone import InfoCloneError, StrategySpec, run_trials
 from infoclone.estimation import (
+    _BLOCK,
     _CHUNK,
     MAX_TRIALS,
+    _NormalStream,
     clone_amplitude,
     estimate_alpha,
     group_sizes,
     theoretical_std,
 )
 from infoclone.transform import CouplingConfig, apply_transform, build_transform
-from reference import measure_clones
+from reference import box_muller, campaign_words, measure_clones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,18 +35,21 @@ def raw_estimates(strategy, alpha, n_trials, seed):
     return estimate_alpha(*measure_clones(gamma, strategy.n_copies, n_trials, seed), strategy)
 
 
+def scheme_normals(n_trials, seed):
+    """The (n_trials, 2) normal pairs of a campaign, from the reference's words."""
+    return box_muller([campaign_words(seed, i) for i in range(n_trials)])
+
+
 def scheme_estimates(strategy, alpha, n_trials, seed):
     """Per-trial estimates recomputed outside run_trials, one trial at a time.
 
-    Trial i reads standard normals 2i and 2i+1 of the Philox stream of
-    SeedSequence(seed) and maps them onto its group averages.
+    Trial i's pair of normals, from the reference Philox block of counter i
+    under the seed, maps onto its group averages.
     """
     gamma = clone_amplitude(strategy, alpha)
     n_position, n_momentum = group_sizes(strategy.n_copies)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     estimates = []
-    for _ in range(n_trials):
-        xi = rng.standard_normal(2)
+    for xi in scheme_normals(n_trials, seed):
         y = SQRT2 * gamma.real + xi[0] / math.sqrt(2.0 * n_position)
         z = SQRT2 * gamma.imag + xi[1] / math.sqrt(2.0 * n_momentum)
         estimates.append(estimate_alpha(y, z, strategy))
@@ -197,10 +204,7 @@ class TestRunTrials:
         alpha = -0.4 + 1.1j
         m, seed = 2 * _CHUNK + 5, 29
         starts = range(0, m, _CHUNK)
-        chunked = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        draws = [chunked.standard_normal((min(_CHUNK, m - start), 2)) for start in starts]
-        xi = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).standard_normal((m, 2))
-        assert np.array_equal(np.concatenate(draws), xi)
+        xi = scheme_normals(m, seed)
 
         gamma = clone_amplitude(strategy, alpha)
         n_position, n_momentum = group_sizes(strategy.n_copies)
@@ -242,7 +246,7 @@ class TestRunTrials:
 
     def test_memory_does_not_grow_with_the_campaign(self):
         strategy = StrategySpec("offset", 12, beta=10.0 + 1.0j)
-        run_trials(strategy, 0.5, 2, seed=1)  # numpy.random is imported on first use
+        run_trials(strategy, 0.5, 2, seed=1)
         peaks = []
         for m in (_CHUNK, 10**6):
             tracemalloc.start()
@@ -307,6 +311,61 @@ class TestRunTrials:
             kurtosis = float(np.mean(centered**4) / std**4 - 3.0)
             assert abs(skew) <= 0.05
             assert abs(kurtosis) <= 0.1
+
+
+class TestNormalStream:
+    def test_words_match_the_reference(self):
+        # Random123's first known answer: counter 0 under key 0
+        assert [int(word) for word in _NormalStream(0, 1).words(0, 1)[:, 0]] == [
+            0x6627E8D5E169C58D,
+            0xBC57AC4C9B00DBD8,
+        ]
+        rng = random.Random(8)
+        seeds = [0, 2**64 - 1, 2**32 - 1, 2**32] + [rng.getrandbits(64) for _ in range(4)]
+        for seed in seeds:
+            stream = _NormalStream(seed, 8)
+            # the counters' low word wraps and the high word fills in
+            for first in (0, 2**32 - 3, 2**64 - 8, rng.randrange(2**64 - 8)):
+                words = stream.words(first, 8)
+                expected = [campaign_words(seed, first + j) for j in range(8)]
+                assert [tuple(map(int, pair)) for pair in words.T] == expected, (seed, first)
+
+    def test_pairs_match_the_reference_across_blocks(self):
+        # a 5-trial block, so the 12 pairs take three blocks, the last partial
+        seed, first = 2**63 + 7, 2**32 - 6
+        pairs = _NormalStream(seed, 5).fill(first, np.empty((12, 2)))
+        assert np.array_equal(pairs, box_muller([campaign_words(seed, first + j) for j in range(12)]))
+
+    def test_pairs_are_independent_standard_normals(self):
+        # 2^20 pairs of one seed and of the next. Each of the 13 checks below
+        # fails a right stream with probability about 1e-6, so the test does
+        # with about 1.3e-5.
+        n, seed = 2**20, 20261020
+        pairs = _NormalStream(seed, _BLOCK).fill(0, np.empty((n, 2)))
+        following = _NormalStream(seed + 1, _BLOCK).fill(0, np.empty((n, 2)))
+        z = NormalDist().inv_cdf(1.0 - 0.5e-6)  # a two-sided 1e-6 bound, in SE
+        # the chi-square quantile at 1 - 1e-6 for 63 degrees of freedom,
+        # after Wilson and Hilferty (1931)
+        dof = 63
+        chi2_bound = dof * (1.0 - 2.0 / (9 * dof) + NormalDist().inv_cdf(1.0 - 1e-6) * math.sqrt(2.0 / (9 * dof))) ** 3
+        edges = [NormalDist().inv_cdf(k / 64) for k in range(1, 64)]
+        for x in pairs.T:
+            mean = x.mean()
+            centered = x - mean
+            var = float(np.mean(centered**2))
+            skew = float(np.mean(centered**3)) / var**1.5
+            kurtosis = float(np.mean(centered**4)) / var**2 - 3.0
+            # the standard errors of the four moments of n standard normals
+            assert abs(mean) <= z / math.sqrt(n)
+            assert abs(var - 1.0) <= z * math.sqrt(2.0 / n)
+            assert abs(skew) <= z * math.sqrt(6.0 / n)
+            assert abs(kurtosis) <= z * math.sqrt(24.0 / n)
+            # 64 bins of equal probability under the normal law: Phi(x) is uniform
+            counts = np.bincount(np.searchsorted(edges, x), minlength=64)
+            chi2 = float(((counts - n / 64) ** 2).sum() / (n / 64))
+            assert chi2 <= chi2_bound, chi2
+        for a, b in [(pairs[:, 0], pairs[:, 1]), (pairs[:, 0], following[:, 0]), (pairs[:, 1], following[:, 1])]:
+            assert abs(np.corrcoef(a, b)[0, 1]) <= z / math.sqrt(n)
 
 
 class TestGroupSizes:
