@@ -6,18 +6,13 @@ simulates ideal quadrature measurements on the clones, and inverts the clone
 map to estimate the held amplitude with its predicted bias and spread. A
 truncated number-basis oracle cross-checks the transform dynamics, and a CLI
 drives reproducible, machine-readable experiments.
+
+The public names load their modules on first use (PEP 562), so a bare
+``import infoclone`` imports no numpy, and ``python -m infoclone`` compiles
+the CLI before numpy's import.
 """
 
-from .errors import InfoCloneError
-from .estimation import run_trials
-from .transform import (
-    CouplingConfig,
-    StrategyKind,
-    StrategySpec,
-    apply_transform,
-    build_transform,
-    orthogonality_residual,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -31,3 +26,19 @@ __all__ = [
     "orthogonality_residual",
     "run_trials",
 ]
+
+# the module that defines each public name
+_HOMES = {"InfoCloneError": "errors", "run_trials": "estimation"}
+_HOMES.update((name, "transform") for name in __all__ if name not in _HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -62,8 +62,9 @@ _MASK32 = 2**32 - 1
 # A 53-bit integer k times these gives -u and 2*pi*u for u = k*2^-53, bit for
 # bit: they are -1 and 2*pi scaled by a power of two
 _UNIFORM_SCALE = np.array([[-(2.0**-53)], [2.0 * math.pi * 2.0**-53]])
-# The longest campaign accepted. At about 100 ns a trial it runs for about two
-# minutes; a larger count is refused at once instead of running for hours.
+# The longest campaign accepted. At about 100 ns a trial it runs for about 100 s
+# (102 s on a 2-CPU Linux VM); a larger count is refused at once instead of
+# running for hours.
 MAX_TRIALS = 10**9
 
 

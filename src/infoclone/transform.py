@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,29 +30,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
+class _Record:
+    """An immutable value: equal to, and hashed as, the tuple of its __slots__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    __getstate__ = _fields
+
+    def __setstate__(self, fields: tuple) -> None:
+        # the one place the fields are set: at construction and by pickle or copy
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CouplingConfig(_Record):
     """Couplings r_1..r_N and interaction time t, with the derived norm R.
 
     Any sequence of real couplings is accepted and stored as a tuple.
     """
 
-    couplings: tuple[float, ...]
-    time: float
-    norm: float = field(init=False)
+    __slots__ = ("couplings", "time", "norm")
 
-    def __post_init__(self):
-        if len(self.couplings) == 0:
+    def __init__(self, couplings: Sequence[float], time: float):
+        if len(couplings) == 0:
             raise InfoCloneError("at least one coupling is required")
-        couplings = tuple(require_finite_real(r, "coupling") for r in self.couplings)
-        object.__setattr__(self, "couplings", couplings)
-        object.__setattr__(self, "time", require_finite_real(self.time, "time"))
+        couplings = tuple(require_finite_real(r, "coupling") for r in couplings)
+        time = require_finite_real(time, "time")
         norm = math.hypot(*couplings)
         if norm == 0.0:
             raise InfoCloneError("all couplings are zero")
-        if not math.isfinite(norm * self.time):
-            raise InfoCloneError(f"couplings {couplings} and time {self.time!r} give a non-finite angle R*t")
-        object.__setattr__(self, "norm", norm)
+        if not math.isfinite(norm * time):
+            raise InfoCloneError(f"couplings {couplings} and time {time!r} give a non-finite angle R*t")
+        self.__setstate__((couplings, time, norm))
 
     @property
     def angle(self) -> float:
@@ -124,8 +151,7 @@ class StrategyKind(enum.Enum):
     NEAR_OPTIMAL = "near-optimal"
 
 
-@dataclass(frozen=True)
-class StrategySpec:
+class StrategySpec(_Record):
     """A cloning strategy with its derived clone map gamma = s*alpha + c*beta.
 
     sin_rt is -1 for OPTIMAL, 1/sqrt(2) for OFFSET and -1+epsilon for
@@ -140,37 +166,31 @@ class StrategySpec:
     gamma = alpha/sqrt(N) whatever beta is. kind may be given by name.
     """
 
-    kind: StrategyKind
-    n_copies: int
-    epsilon: float | None = None
-    beta: complex | None = None
-    sin_rt: float = field(init=False)
-    signal_scale: float = field(init=False)
-    offset_scale: float = field(init=False)
+    __slots__ = ("kind", "n_copies", "epsilon", "beta", "sin_rt", "signal_scale", "offset_scale")
 
-    def __post_init__(self):
+    def __init__(
+        self, kind: StrategyKind | str, n_copies: int, epsilon: float | None = None, beta: complex | None = None
+    ):
         try:
-            kind = StrategyKind(self.kind)
+            kind = StrategyKind(kind)
         except ValueError:
             names = ", ".join(k.value for k in StrategyKind)
-            raise InfoCloneError(f"unknown strategy {self.kind!r}, expected one of: {names}") from None
-        object.__setattr__(self, "kind", kind)
-        n = require_integer(self.n_copies, "n_copies")
+            raise InfoCloneError(f"unknown strategy {kind!r}, expected one of: {names}") from None
+        n = require_integer(n_copies, "n_copies")
         if n < 2:
-            raise InfoCloneError(f"n_copies must be >= 2, got {self.n_copies!r}")
-        object.__setattr__(self, "n_copies", n)
+            raise InfoCloneError(f"n_copies must be >= 2, got {n_copies!r}")
 
+        eps = None
         if kind is StrategyKind.NEAR_OPTIMAL:
-            if self.epsilon is None:
+            if epsilon is None:
                 raise InfoCloneError("near-optimal requires epsilon in (0, 1)")
-            eps = require_finite_real(self.epsilon, "epsilon")
+            eps = require_finite_real(epsilon, "epsilon")
             if not 0.0 < eps < 1.0:
                 raise InfoCloneError(
-                    f"epsilon must lie in (0, 1), got {self.epsilon!r}"
+                    f"epsilon must lie in (0, 1), got {epsilon!r}"
                 )
-            object.__setattr__(self, "epsilon", eps)
             sin_rt = -1.0 + eps
-        elif self.epsilon is not None:
+        elif epsilon is not None:
             raise InfoCloneError(f"epsilon does not apply to {kind.value}")
         elif kind is StrategyKind.OPTIMAL:
             sin_rt = -1.0
@@ -178,13 +198,12 @@ class StrategySpec:
             sin_rt = math.sqrt(0.5)
 
         if kind is StrategyKind.OPTIMAL:
-            object.__setattr__(self, "beta", 0j)
+            beta = 0j
         else:
-            if self.beta is None:
+            if beta is None:
                 raise InfoCloneError(f"{kind.value} requires a reference amplitude beta")
-            object.__setattr__(self, "beta", require_finite_complex(self.beta, "beta"))
+            beta = require_finite_complex(beta, "beta")
 
-        object.__setattr__(self, "sin_rt", sin_rt)
-        object.__setattr__(self, "signal_scale", -sin_rt / math.sqrt(n))
-        object.__setattr__(self, "offset_scale", math.sqrt(max(0.0, 1.0 - sin_rt * sin_rt)))
-
+        signal_scale = -sin_rt / math.sqrt(n)
+        offset_scale = math.sqrt(max(0.0, 1.0 - sin_rt * sin_rt))
+        self.__setstate__((kind, n, eps, beta, sin_rt, signal_scale, offset_scale))

@@ -1,15 +1,20 @@
-"""Every infoclone command on the stdlib and numpy alone.
+"""Every infoclone command on the stdlib and numpy alone, each loading only what it runs.
 
 Run it with infoclone importable: from a checkout as
 `PYTHONPATH=src python tests/import_boundary.py`, or from any directory
 against an installed package. It loads the report schema and runs every
-command, the oracle at K' = 0, 1 and K among them. It fails if a step
-imports a third-party module other than numpy, or numpy.random (nine
-extension modules and about 5 MB, which the campaigns' own Philox stream
-replaces), if importing the CLI or running `transform --randomize` imports
-secrets (which pulls in hashlib and OpenSSL), or if infoclone.fock is
-reached other than by its own name. It prints, as one JSON object, the
-infoclone modules loaded after each step.
+command, the oracle at K' = 0, 1 and K among them, then one CSV report and
+one config file. It fails if
+- a step imports a third-party module other than numpy, numpy.random (nine
+  extension modules and about 5 MB, which the campaigns' own Philox stream
+  replaces), or dataclasses (which pulls in copy);
+- `import infoclone` imports numpy or any module of the package but itself;
+- a JSON report imports csv, or a run without --config loads the config-file
+  reader (the module that defines `_config_tokens`);
+- importing the CLI or running `transform --randomize` imports secrets
+  (which pulls in hashlib and OpenSSL), or infoclone.fock is reached other
+  than by its own name.
+It prints, as one JSON object, the infoclone modules loaded after each step.
 
 Only modules loaded since the interpreter started count, so what .pth files
 preload does not, and neither do the spec-less modules numpy's Cython
@@ -22,22 +27,33 @@ start = set(sys.modules)
 
 import json  # noqa: E402
 import os  # noqa: E402
+import tempfile  # noqa: E402
 from importlib import resources  # noqa: E402
 
 allowed = sys.stdlib_module_names | {"infoclone", "numpy"}
 loaded = {}
 
 
-def step(name):
+def absent(module):
+    return module in start or module not in sys.modules
+
+
+def step(name, csv=False, config=False):
     """Record the infoclone modules loaded so far; refuse any third-party one
-    but numpy, and numpy.random."""
+    but numpy, numpy.random and dataclasses, and, unless the step wrote CSV or
+    read a config file, csv or the config-file reader."""
     foreign = sorted({
         n.split(".")[0] for n, module in sys.modules.items()
         if n not in start and getattr(module, "__spec__", None) is not None and n.split(".")[0] not in allowed
     })
     assert not foreign, f"{name} imported {foreign}"
-    assert "numpy.random" in start or "numpy.random" not in sys.modules, f"{name} imported numpy.random"
-    loaded[name] = sorted(n for n in sys.modules if n.split(".")[0] == "infoclone")
+    assert absent("numpy.random"), f"{name} imported numpy.random"
+    assert absent("dataclasses"), f"{name} imported dataclasses"
+    assert csv or absent("csv"), f"{name} imported csv"
+    package = [module for n, module in sys.modules.items() if n.split(".")[0] == "infoclone"]
+    reader = [module.__name__ for module in package if hasattr(module, "_config_tokens")]
+    assert config or not reader, f"{name} loaded the config-file reader {reader}"
+    loaded[name] = sorted(module.__name__ for module in package)
 
 
 def run(argv):
@@ -56,6 +72,8 @@ def assert_no_attribute(name):
 import infoclone  # noqa: E402
 
 step("import infoclone")
+assert absent("numpy"), "import infoclone imported numpy"
+assert loaded["import infoclone"] == ["infoclone"], f"import infoclone imported {loaded['import infoclone']}"
 import infoclone.cli  # noqa: E402
 
 step("import infoclone.cli")
@@ -86,4 +104,12 @@ for argv in (
     run(argv)
 step("oracle")
 assert_no_attribute("overlap")
+run(["estimate", "--trials", "20", "--format", "csv"])
+step("--format csv", csv=True)
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"command": "estimate", "alpha": [1.5, -0.5], "trials": 20}, fh)
+    run(["estimate", "--config", config])
+step("--config", csv=True, config=True)
 print(json.dumps(loaded))

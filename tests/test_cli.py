@@ -10,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import infoclone
 from infoclone import StrategySpec, run_trials
 from infoclone.cli import DEFAULT_SEED, main
 from infoclone.estimation import MAX_TRIALS
@@ -553,16 +554,19 @@ def test_row_columns_agree():
     assert row_schema["required"] == columns
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
+
+def _fresh_env(**extra: str) -> dict:
+    """The environment of a new interpreter that imports infoclone from this tree's src."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a new interpreter that imports infoclone from this tree's src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_fresh_env())
 
 
 # Runs the command in its arguments and prints its exit code and peak RSS in
@@ -591,6 +595,105 @@ def test_module_entry_point(tmp_path):
     proc = _fresh_python("-m", "infoclone", "transform", "--couplings", "1", "--time", "0", "--out", str(out))
     assert proc.returncode == 0
     assert json.loads(out.read_text())["command"] == "transform"
+
+
+def test_public_names_resolve_after_a_bare_import():
+    # a bare import loads no module of the package (import_boundary.py); each
+    # name loads its own module on first use, and dir lists the names before
+    script = (
+        "import json, infoclone\n"
+        "assert set(infoclone.__all__) <= set(dir(infoclone)), dir(infoclone)\n"
+        "print(json.dumps({name: getattr(infoclone, name).__module__ for name in infoclone.__all__}))\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    homes = {"InfoCloneError": "errors", "run_trials": "estimation"}
+    assert json.loads(proc.stdout) == {
+        name: "infoclone." + homes.get(name, "transform") for name in infoclone.__all__
+    }
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _fresh_python("-c", example)
+    assert proc.returncode == 0, proc.stderr
+    # mean_re, std_re and theory_std_re
+    assert len([float(word) for word in proc.stdout.split()]) == 3
+
+
+# Every value of this transform is exact (0, -0, 1, 1.5, 5, ...), so its
+# report has the same bytes on every platform.
+EXACT_TRANSFORM = ["transform", "--couplings", "3,4", "--time", "0", "--alpha=1.5,-0.5", "--beta", "2,1"]
+EXACT_TRANSFORM_JSON = b"""{
+  "command": "transform",
+  "couplings": [3, 4],
+  "time": 0,
+  "norm": 5,
+  "angle": 0,
+  "sin_rt": 0,
+  "cos_rt": 1,
+  "matrix": [
+    [1, 0, 0],
+    [-0, 1, 0],
+    [-0, 0, 1]
+  ],
+  "orthogonality_residual": 0,
+  "alpha_re": 1.5,
+  "alpha_im": -0.5,
+  "beta_re": 2,
+  "beta_im": 1,
+  "output_amplitudes": [
+    [1.5, -0.5],
+    [2, 1],
+    [2, 1]
+  ]
+}
+"""
+EXACT_TRANSFORM_CSV = (
+    b'field,value\r\ncommand,transform\r\ncouplings,"[3, 4]"\r\ntime,0\r\nnorm,5\r\nangle,0\r\n'
+    b'sin_rt,0\r\ncos_rt,1\r\nmatrix,"[[1, 0, 0], [-0, 1, 0], [-0, 0, 1]]"\r\n'
+    b"orthogonality_residual,0\r\nalpha_re,1.5\r\nalpha_im,-0.5\r\nbeta_re,2\r\nbeta_im,1\r\n"
+    b'output_amplitudes,"[[1.5, -0.5], [2, 1], [2, 1]]"\r\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (EXACT_TRANSFORM, EXACT_TRANSFORM_JSON),
+        ([*EXACT_TRANSFORM, "--format", "csv"], EXACT_TRANSFORM_CSV),
+        (["transform", "--config", "config.json"], EXACT_TRANSFORM_JSON),
+    ],
+    ids=["json", "csv", "config"],
+)
+def test_exact_report_bytes_on_stdout(argv, expected, tmp_path):
+    settings = {"command": "transform", "couplings": [3, 4], "time": 0, "alpha": [1.5, -0.5], "beta": "2,1"}
+    (tmp_path / "config.json").write_text(json.dumps(settings))
+    proc = subprocess.run(
+        [sys.executable, "-m", "infoclone", *argv],
+        capture_output=True,
+        cwd=tmp_path,
+        env=_fresh_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
+def test_report_to_a_closed_pipe_fails():
+    # 300 ancillas: a 2,185,011-byte report, far more than a pipe holds. Under
+    # python -u a write to the pipe may take only part of the report; the
+    # command must then fail, not exit 0 with the report cut short.
+    command = [sys.executable, "-m", "infoclone", "transform", "--couplings", ",".join(["1"] * 300), "--time", "1"]
+    env = _fresh_env(PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err.decode() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 def test_oracle_process_peak_follows_the_occupied_sectors():
@@ -638,19 +741,22 @@ def test_campaign_process_peak_matches_transform():
 
 def test_no_command_imports_a_third_party_module_but_numpy():
     # the campaigns load the pipeline's modules and, outside the stdlib,
-    # numpy alone, not numpy.random; oracle adds infoclone.fock and nothing else
+    # numpy alone, not numpy.random; oracle adds infoclone.fock and nothing
+    # else, a config file infoclone.config_file, and a bare import none
     proc = _fresh_python(str(Path(__file__).with_name("import_boundary.py")))
     assert proc.returncode == 0, proc.stderr
-    package = ["infoclone", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]
-    pipeline = sorted([*package, "infoclone.cli"])
+    pipeline = ["infoclone", "infoclone.cli", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]
+    oracle = sorted([*pipeline, "infoclone.fock"])
     assert json.loads(proc.stdout) == {
-        "import infoclone": package,
+        "import infoclone": ["infoclone"],
         "import infoclone.cli": pipeline,
         "transform": pipeline,
         "estimate": pipeline,
         "sweep": pipeline,
         "infoclone.no_such_name": pipeline,
-        "oracle": sorted([*pipeline, "infoclone.fock"]),
+        "oracle": oracle,
+        "--format csv": oracle,
+        "--config": sorted([*oracle, "infoclone.config_file"]),
     }
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -248,3 +250,54 @@ class TestMakeStrategy:
         expected = "unknown strategy 'pessimal', expected one of: optimal, offset, near-optimal"
         with pytest.raises(InfoCloneError, match=re.escape(expected)):
             StrategySpec("pessimal", 2)
+
+
+# Each record with its fields in order, built twice from equal inputs given
+# as different types, and its repr.
+RECORDS = [
+    (
+        lambda: CouplingConfig([np.float32(3.0), np.int64(4)], np.float64(0.5)),
+        lambda: CouplingConfig((3.0, 4.0), 0.5),
+        ("couplings", "time", "norm"),
+        "CouplingConfig(couplings=(3.0, 4.0), time=0.5, norm=5.0)",
+    ),
+    (
+        lambda: StrategySpec("near-optimal", np.int64(4), epsilon=0.25, beta=2),
+        lambda: StrategySpec(StrategyKind.NEAR_OPTIMAL, 4, 0.25, 2 + 0j),
+        ("kind", "n_copies", "epsilon", "beta", "sin_rt", "signal_scale", "offset_scale"),
+        "StrategySpec(kind=<StrategyKind.NEAR_OPTIMAL: 'near-optimal'>, n_copies=4, epsilon=0.25, "
+        "beta=(2+0j), sin_rt=-0.75, signal_scale=0.375, offset_scale=0.6614378277661477)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, make_equal, fields, text", RECORDS, ids=["CouplingConfig", "StrategySpec"])
+class TestRecordValues:
+    """CouplingConfig and StrategySpec are immutable values, as frozen dataclasses were."""
+
+    def test_equal_records_hash_equal(self, make, make_equal, fields, text):
+        a, b = make(), make_equal()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "first", b: "second"} == {a: "second"}
+        assert a != tuple(getattr(a, name) for name in fields)
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, make, make_equal, fields, text):
+        record = make()
+        for name in fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+        assert record == make_equal()
+
+    def test_repr_names_the_class_and_its_fields(self, make, make_equal, fields, text):
+        assert repr(make()) == text
+
+    def test_records_of_other_values_are_unequal(self, make, make_equal, fields, text):
+        a = make()
+        assert a != CouplingConfig([3.0, 4.0], 0.25) and a != StrategySpec("near-optimal", 4, 0.5, 2)
+
