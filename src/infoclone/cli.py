@@ -62,6 +62,68 @@ def _snake_case(text: str) -> str:
     return text.replace("-", "_")
 
 
+# Options that no config key stands for; the "grid" object stands for the
+# two grid flags.
+_NOT_IN_CONFIG = {"help", "config", "randomize", "grid_axis", "grid_values"}
+
+
+def _flag_text(action: argparse.Action, value) -> str:
+    """The flag text a config value stands for: 8 -> "8", [1.5, -0.5] -> "1.5,-0.5".
+
+    The JSON type is checked here (a JSON number is exactly an int or a float,
+    never a bool); the flag's own type then parses the text.
+    """
+    if action.type in (int, float):
+        if type(value) in (int, float):
+            return repr(value)
+        wanted = "a number"
+    elif action.type in (_parse_complex_pair, _parse_float_list):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            return ",".join(map(repr, value))
+        wanted = "a string or a list of numbers"
+    else:
+        if isinstance(value, str):
+            return value
+        wanted = "a string"
+    raise InfoCloneError(f"config key {action.dest!r} must be {wanted}, got {value!r}")
+
+
+def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The ``--flag=value`` tokens that the config file of ``args`` stands for."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
+            settings = json.load(fh)
+        except RecursionError:
+            raise InfoCloneError(f"config file {args.config!r} is nested too deeply to read") from None
+    if not isinstance(settings, dict):
+        raise InfoCloneError("config file must contain a JSON object")
+    command = settings.pop("command", args.command)
+    if command != args.command:
+        raise InfoCloneError(f"config file is for command {command!r}, not {args.command!r}")
+    # argparse has no public way to list the options of a subcommand
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in commands.choices[args.command]._actions}
+    pairs = []
+    for key, value in settings.items():
+        if key == "grid" and "grid_axis" in options:
+            if not isinstance(value, dict) or not value.keys() <= {"axis", "values"}:
+                raise InfoCloneError('config key "grid" must be an object with keys axis and values')
+            pairs += [(options[f"grid_{name}"], v) for name, v in value.items()]
+        elif key in options and key not in _NOT_IN_CONFIG:
+            pairs.append((options[key], value))
+        else:
+            raise InfoCloneError(f"unknown config key {key!r} for command {args.command!r}")
+    tokens = []
+    for action, value in pairs:
+        token = f"{action.option_strings[0]}={_flag_text(action, value)}"
+        # --randomize replaces the file's seed; argparse refuses the two flags together
+        if not (action.dest == "seed" and args.randomize):
+            tokens.append(token)
+    return tokens
+
+
 def _parse(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace:
     # argparse drops the value of --flag=-- and stores an empty list, which no
     # type or choice check sees
@@ -76,9 +138,6 @@ def resolve_config(argv: list[str] | None = None) -> dict:
     parser = build_parser()
     args = _parse(parser, argv)
     if args.config:
-        # imported here so that a run without a config file skips its import
-        from .config_file import _config_tokens
-
         # argparse keeps the last value it sees, so the flags after the file win
         args = _parse(parser, [args.command, *_config_tokens(parser, args), *argv[1:]])
     if args.randomize:

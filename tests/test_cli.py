@@ -599,10 +599,14 @@ def test_module_entry_point(tmp_path):
 
 def test_public_names_resolve_after_a_bare_import():
     # a bare import loads no module of the package (import_boundary.py); each
-    # name loads its own module on first use, and dir lists the names before
+    # name, and each submodule it used to bind, loads on first use, and dir
+    # lists them before
     script = (
         "import json, infoclone\n"
-        "assert set(infoclone.__all__) <= set(dir(infoclone)), dir(infoclone)\n"
+        "submodules = {'errors', 'estimation', 'transform'}\n"
+        "assert {*infoclone.__all__, *submodules} <= set(dir(infoclone)), dir(infoclone)\n"
+        "assert infoclone.transform.CouplingConfig is infoclone.CouplingConfig\n"
+        "assert infoclone.estimation.MAX_TRIALS > 0 and infoclone.errors.InfoCloneError\n"
         "print(json.dumps({name: getattr(infoclone, name).__module__ for name in infoclone.__all__}))\n"
     )
     proc = _fresh_python("-c", script)
@@ -742,7 +746,7 @@ def test_campaign_process_peak_matches_transform():
 def test_no_command_imports_a_third_party_module_but_numpy():
     # the campaigns load the pipeline's modules and, outside the stdlib,
     # numpy alone, not numpy.random; oracle adds infoclone.fock and nothing
-    # else, a config file infoclone.config_file, and a bare import none
+    # else; a bare import loads none
     proc = _fresh_python(str(Path(__file__).with_name("import_boundary.py")))
     assert proc.returncode == 0, proc.stderr
     pipeline = ["infoclone", "infoclone.cli", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]
@@ -756,7 +760,7 @@ def test_no_command_imports_a_third_party_module_but_numpy():
         "infoclone.no_such_name": pipeline,
         "oracle": oracle,
         "--format csv": oracle,
-        "--config": sorted([*oracle, "infoclone.config_file"]),
+        "--config": oracle,
     }
 
 
