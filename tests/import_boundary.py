@@ -12,7 +12,9 @@ one config file. It fails if
 - a JSON report imports csv;
 - importing the CLI or running `transform --randomize` imports secrets
   (which pulls in hashlib and OpenSSL), or infoclone.fock is reached other
-  than by its own name.
+  than by its own name;
+- importing the CLI freezes the garbage collector, the first command does
+  not freeze it (or disables it), or a later command freezes it again.
 It prints, as one JSON object, the infoclone modules loaded after each step.
 
 Only modules loaded since the interpreter started count, so what .pth files
@@ -24,6 +26,7 @@ import sys
 
 start = set(sys.modules)
 
+import gc  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import tempfile  # noqa: E402
@@ -74,8 +77,11 @@ import infoclone.cli  # noqa: E402
 
 step("import infoclone.cli")
 assert "secrets" not in sys.modules, "import infoclone.cli imported secrets"
+assert gc.get_freeze_count() == 0, "import infoclone.cli froze the garbage collector"
 json.loads(resources.files("infoclone").joinpath("schemas/report.schema.json").read_text())
 run(["transform", "--couplings", "1,1", "--time", "0.5", "--randomize"])
+frozen = gc.get_freeze_count()
+assert frozen > 0 and gc.isenabled(), f"main left {frozen} objects frozen, collector enabled: {gc.isenabled()}"
 step("transform")
 assert "secrets" not in sys.modules, "transform --randomize imported secrets"
 run(["estimate", "--trials", "20"])
@@ -108,4 +114,7 @@ with tempfile.TemporaryDirectory() as tmp:
         json.dump({"command": "estimate", "alpha": [1.5, -0.5], "trials": 20}, fh)
     run(["estimate", "--config", config])
 step("--config", csv=True)
+# a frozen object that dies leaves the count, as the first run's argv did;
+# only a second freeze can raise it
+assert gc.get_freeze_count() <= frozen, f"later commands froze {gc.get_freeze_count() - frozen} more objects"
 print(json.dumps(loaded))

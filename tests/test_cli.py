@@ -558,10 +558,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
-def _fresh_env(**extra: str) -> dict:
+def _fresh_env() -> dict:
     """The environment of a new interpreter that imports infoclone from this tree's src."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **extra}
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -683,13 +683,64 @@ def test_exact_report_bytes_on_stdout(argv, expected, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
 
-def test_report_to_a_closed_pipe_fails():
+# README's error examples. An InfoCloneError prints one line, pinned whole.
+# argparse prints its usage lines first; they wrap with the terminal width
+# and differ across Python versions, so only its last line is pinned.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["estimate", "--n-copies", "2", "--alpha=1e308,0"],
+            b"error: InfoCloneError: alpha = (1e+308+0j) with beta = 0j overflows a double: "
+            b"the campaign's mean or std is not finite\n",
+        ),
+        (
+            ["estimate", "--strategy", "offset", "--alpha=-1.7e308,0", "--beta=1.7e308,0"],
+            b"error: InfoCloneError: alpha = (-1.7e+308+0j) with beta = (1.7e+308+0j) overflows a double: "
+            b"the campaign's mean or std is not finite\n",
+        ),
+        (
+            ["transform", "--couplings", "1,1", "--time", "0.5", "--alpha=1.7e308,0", "--beta=1.7e308,0"],
+            b"error: InfoCloneError: amplitude vector overflows a double under the transform: "
+            b"an output is not finite\n",
+        ),
+        (
+            ["transform", "--couplings", "1,,2", "--time", "1"],
+            b"infoclone transform: error: argument --couplings: expected comma-separated numbers, got '1,,2'\n",
+        ),
+        (
+            ["transform", "--couplings", "1", "--time", "1", "--alpha=nan,0"],
+            b"infoclone transform: error: argument --alpha: "
+            b"expected two comma-separated finite numbers RE,IM, got 'nan,0'\n",
+        ),
+    ],
+    ids=["estimate-overflow", "offset-overflow", "transform-overflow", "couplings-empty-item", "alpha-nan"],
+)
+def test_exact_error_bytes_on_stderr(argv, expected):
+    proc = subprocess.run([sys.executable, "-m", "infoclone", *argv], capture_output=True, env=_fresh_env())
+    *usage, last = proc.stderr.splitlines(keepends=True)
+    assert (proc.returncode, proc.stdout, last) == (2, b"", expected)
+    if expected.startswith(b"error: "):
+        assert usage == []
+    else:
+        assert usage[0].startswith(b"usage: infoclone ")
+
+
+def _buffered_env() -> dict:
+    """_fresh_env() without PYTHONUNBUFFERED, so that stdout is buffered."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_report_to_a_closed_pipe_fails(flags):
     # 300 ancillas: a 2,185,011-byte report, far more than a pipe holds. Under
     # python -u a write to the pipe may take only part of the report; the
     # command must then fail, not exit 0 with the report cut short.
-    command = [sys.executable, "-m", "infoclone", "transform", "--couplings", ",".join(["1"] * 300), "--time", "1"]
-    env = _fresh_env(PYTHONUNBUFFERED="1")
-    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    couplings = ",".join(["1"] * 300)
+    command = [sys.executable, *flags, "-m", "infoclone", "transform", "--couplings", couplings, "--time", "1"]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env())
     try:
         assert len(proc.stdout.read(20)) == 20
         proc.stdout.close()
@@ -698,6 +749,25 @@ def test_report_to_a_closed_pipe_fails():
         proc.kill()
     assert proc.returncode == 2
     assert err.decode() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_buffered_report_to_a_pipe_closed_before_the_spawn_fails():
+    # a report small enough to sit in stdout's buffer fails at main's own
+    # flush, not at the interpreter's final one (which would print
+    # "Exception ignored ..." and exit 120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoclone", "transform", "--couplings", "1", "--time", "0"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_buffered_env(),
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"error: BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 def test_oracle_process_peak_follows_the_occupied_sectors():
