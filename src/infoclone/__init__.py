@@ -9,11 +9,12 @@ drives reproducible, machine-readable experiments.
 
 The public names, and the submodules ``errors``, ``estimation`` and
 ``transform``, load on first use (PEP 562). So a bare ``import infoclone``
-imports no numpy, and ``python -m infoclone`` loads the CLI before numpy.
-When Python writes no bytecode cache (``PYTHONDONTWRITEBYTECODE=1``, or a
-read-only install without one), every run compiles the CLI from source; done before
-numpy's import, that compile's freed memory is reused by numpy instead of
-raising the process's peak by about 0.4 MB.
+imports no numpy, and ``python -m infoclone`` loads the CLI, and then the
+modules its command runs, before numpy. When Python writes no bytecode
+cache (``PYTHONDONTWRITEBYTECODE=1``, or a read-only install without one),
+every run compiles those modules from source; done before numpy's import,
+that compile's freed memory is reused by numpy instead of raising the
+process's peak.
 """
 
 from importlib import import_module as _import_module

@@ -12,8 +12,14 @@ digits, so identical settings and seed reproduce identical output bytes.
 Exit codes: 0 success, 1 oracle fidelity below threshold, 2 usage or
 validation error, or a request too large for memory or for a double.
 
-``main`` freezes the garbage collector's view of what was imported before it
-runs, once per process (``gc.freeze``). None of numpy's and the package's
+Parsing needs no numpy. A command that computes imports it, and the modules
+it runs, when it first needs them: ``transform`` inside the transform's
+matrix functions, ``oracle`` with ``infoclone.fock`` and the campaigns with
+``infoclone.estimation``. So every module a command runs is compiled before
+numpy loads, and ``--help``, usage errors and config errors never load it.
+
+After the command, ``main`` freezes the garbage collector's view of what was
+imported, once per process (``gc.freeze``). None of numpy's and the package's
 ~21,000 tracked import-time objects is garbage, yet the interpreter's
 shutdown collection would traverse them all: about 14 ms of the 0.13-0.15 s
 a benchmark command takes from spawn to exit. The freeze is O(1) and
@@ -33,7 +39,6 @@ import os
 import sys
 
 from .errors import InfoCloneError, require_seed
-from .estimation import run_trials
 from .transform import (
     CouplingConfig,
     StrategyKind,
@@ -328,6 +333,16 @@ def cmd_oracle(cfg: dict) -> tuple[int, dict]:
     return (0 if passed else 1), report
 
 
+def run_trials(strategy: StrategySpec, true_alpha: complex, n_trials: int, seed: int) -> dict:
+    """:func:`infoclone.estimation.run_trials`, imported on the first campaign.
+
+    A name of this module, as the tracer in bench/child.py expects.
+    """
+    from . import estimation
+
+    return estimation.run_trials(strategy, true_alpha, n_trials, seed)
+
+
 def cmd_estimate(cfg: dict) -> tuple[int, dict]:
     strategy = StrategySpec(cfg["strategy"], cfg["n_copies"], cfg["epsilon"], cfg["beta"])
     row = run_trials(strategy, cfg["alpha"], cfg["trials"], cfg["seed"])
@@ -461,15 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Move everything imported so far out of the collector's generations, so
-    # that neither a full collection during the command nor the shutdown
-    # collection traverses numpy's import graph; none of it is garbage. Once
-    # per process: a second freeze would pin what the first call left.
-    if not gc.get_freeze_count():
-        gc.freeze()
     try:
         cfg = resolve_config(argv)
         code, report = cfg["run"](cfg)
+        # Move everything imported so far, numpy's import graph by now, out of
+        # the collector's generations, so that the shutdown collection does not
+        # traverse it; none of it is garbage. After the command, which imports
+        # numpy, and once per process: a second freeze would pin what the
+        # first call left.
+        if not gc.get_freeze_count():
+            gc.freeze()
         _write_output(render_report(report, cfg["format"]), cfg["out"])
         return code
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error

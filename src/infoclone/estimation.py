@@ -231,7 +231,7 @@ def run_trials(
     chunk prints the estimates' numpy mean and std(ddof=1) exactly, a longer
     one agrees with them to rounding. More than MAX_TRIALS trials, or a
     campaign whose mean or std overflows a double, is refused with an
-    InfoCloneError.
+    InfoCloneError, at the first chunk whose merge is not finite.
     """
     true_alpha = require_finite_complex(true_alpha, "true_alpha")
     m = require_integer(n_trials, "n_trials")
@@ -262,14 +262,16 @@ def run_trials(
             chunk = _chunk_moments(estimates, xi)
             del estimates
             moments = chunk if moments is None else _merge(moments, chunk)
-    _, mean, m2_re, m2_im = moments
+            _, mean, m2_re, m2_im = moments
+            # a merge of a mean or M2 that is not finite is not finite either,
+            # so the first chunk that overflows decides the campaign
+            if not all(map(math.isfinite, (mean.real, mean.imag, m2_re, m2_im))):
+                raise InfoCloneError(
+                    f"alpha = {true_alpha!r} with beta = {strategy.beta!r} overflows a double: "
+                    "the campaign's mean or std is not finite"
+                )
     std_re = math.sqrt(m2_re / (m - 1))
     std_im = math.sqrt(m2_im / (m - 1))
-    if not all(map(math.isfinite, (mean.real, mean.imag, std_re, std_im))):
-        raise InfoCloneError(
-            f"alpha = {true_alpha!r} with beta = {strategy.beta!r} overflows a double: "
-            "the campaign's mean or std is not finite"
-        )
     theory_std_re, theory_std_im = theoretical_std(strategy)
     return {
         "strategy": strategy.kind.value,

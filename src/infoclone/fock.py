@@ -296,10 +296,11 @@ def _reduced_angle(config: CouplingConfig) -> float:
 def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: CouplingConfig, top: int) -> np.ndarray:
     """exp(A) v on a band of whole sectors whose highest is top, at the reduced angle.
 
-    basis holds the band's rows in basis order and v their amplitudes. The
-    rows with n_held >= 1 come last, and the move of ancilla j maps the rows
-    with n_j >= 1, in order, one to one onto them, so A is applied by
-    slicing and two gathers per ancilla, without a sparse matrix.
+    basis holds the band's rows in basis order and v their amplitudes, which
+    the recurrence overwrites. The rows with n_held >= 1 come last, and the
+    move of ancilla j maps the rows with n_j >= 1, in order, one to one onto
+    them, so A is applied by slicing and two gathers per ancilla, without a
+    sparse matrix.
 
     exp(A) v is the Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984)
     J_0(rho) v + 2 sum_k J_k(rho) chi_k, with chi_0 = v, chi_1 = A v / rho
@@ -328,8 +329,8 @@ def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: Couplin
         back[source] = -weight
         moves.append((source, weight, partner, back))
     evolved = coeffs[0] * v
-    # two buffers, ping-ponged: chi_{k+1} overwrites chi_{k-1}
-    prev, cur, part = v.copy(), np.zeros_like(v), np.empty_like(v)
+    # two buffers, ping-ponged: chi_{k+1} overwrites chi_{k-1}, chi_2 v itself
+    prev, cur, part = v, np.zeros_like(v), np.empty_like(v)
     for k, c in enumerate(coeffs[1:], start=1):
         if k == 1:
             _add_generator(cur, v, offset, moves, part)

@@ -8,17 +8,21 @@ the angle R*t. With equal couplings and identically prepared ancillas every
 ancilla output carries the same attenuated copy of the held amplitude; the
 three measurement strategies in :class:`StrategyKind` are particular choices
 of sin(R*t) for that symmetric configuration.
+
+The three matrix functions import numpy when they are called: the records,
+and StrategyKind, which the CLI's parser lists, load without it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InfoCloneError, require_finite_complex, require_finite_real, require_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CouplingConfig",
@@ -100,6 +104,8 @@ def build_transform(config: CouplingConfig) -> np.ndarray:
     The closed form equals the exponential of the antisymmetric generator
     with first row t*r and first column -t*r (checked by the test suite).
     """
+    import numpy as np
+
     r = np.asarray(config.couplings, dtype=float)
     e = r / config.norm
     c = math.cos(config.angle)
@@ -115,6 +121,8 @@ def build_transform(config: CouplingConfig) -> np.ndarray:
 
 def orthogonality_residual(matrix: np.ndarray) -> float:
     """Max-norm of U @ U.T - I, zero for an exactly orthogonal matrix."""
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     return float(np.abs(m @ m.T - np.eye(m.shape[0])).max())
 
@@ -126,6 +134,8 @@ def apply_transform(matrix: np.ndarray, amplitudes: Sequence[complex]) -> np.nda
     finite vector whose image overflows a double is refused with an
     InfoCloneError.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     v = np.asarray(amplitudes, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -9,12 +9,15 @@ one config file. It fails if
   extension modules and about 5 MB, which the campaigns' own Philox stream
   replaces), or dataclasses (which pulls in copy);
 - `import infoclone` imports numpy or any module of the package but itself;
+- `import infoclone.cli`, `--help`, a usage error or a config error imports
+  numpy;
 - a JSON report imports csv;
 - importing the CLI or running `transform --randomize` imports secrets
   (which pulls in hashlib and OpenSSL), or infoclone.fock is reached other
   than by its own name;
-- importing the CLI freezes the garbage collector, the first command does
-  not freeze it (or disables it), or a later command freezes it again.
+- importing the CLI, `--help`, a usage error or a config error freezes the
+  garbage collector, the first command does not freeze it (or disables it),
+  or freezes it before numpy's import, or a later command freezes it again.
 It prints, as one JSON object, the infoclone modules loaded after each step.
 
 Only modules loaded since the interpreter started count, so what .pth files
@@ -26,7 +29,9 @@ import sys
 
 start = set(sys.modules)
 
+import contextlib  # noqa: E402
 import gc  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import tempfile  # noqa: E402
@@ -59,6 +64,14 @@ def run(argv):
     assert infoclone.cli.main([*argv, "--out", os.devnull]) == 0, argv
 
 
+def refused(argv, code):
+    """Run argv, which must exit with code before any command computes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert infoclone.cli.main(argv) == code, argv
+    assert absent("numpy"), f"{argv} imported numpy"
+    assert gc.get_freeze_count() == 0, f"{argv} froze the garbage collector"
+
+
 def assert_no_attribute(name):
     try:
         getattr(infoclone, name)
@@ -77,11 +90,24 @@ import infoclone.cli  # noqa: E402
 
 step("import infoclone.cli")
 assert "secrets" not in sys.modules, "import infoclone.cli imported secrets"
+assert absent("numpy"), "import infoclone.cli imported numpy"
 assert gc.get_freeze_count() == 0, "import infoclone.cli froze the garbage collector"
 json.loads(resources.files("infoclone").joinpath("schemas/report.schema.json").read_text())
+refused(["--help"], 0)
+refused(["estimate", "--trials", "many"], 2)
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"command": "estimate", "no_such_key": 1}, fh)
+    refused(["estimate", "--config", config], 2)
 run(["transform", "--couplings", "1,1", "--time", "0.5", "--randomize"])
 frozen = gc.get_freeze_count()
 assert frozen > 0 and gc.isenabled(), f"main left {frozen} objects frozen, collector enabled: {gc.isenabled()}"
+# the freeze came after numpy's import: no module of numpy is left in the
+# collector's generations
+tracked = {id(obj) for obj in gc.get_objects()}
+left = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "numpy" and id(module) in tracked)
+assert not left, f"main froze the garbage collector before numpy's import: {len(left)} numpy modules left tracked"
 step("transform")
 assert "secrets" not in sys.modules, "transform --randomize imported secrets"
 run(["estimate", "--trials", "20"])

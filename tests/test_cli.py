@@ -564,6 +564,18 @@ def _fresh_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def _buffered_env() -> dict:
+    """_fresh_env() without PYTHONUNBUFFERED, so that stdout is buffered."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# python's flags for a buffered stdout and for a raw one (python -u): under
+# _buffered_env() each gives its own path, whatever the host's environment
+STDOUT_FLAGS = ([], ["-u"])
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a new interpreter that imports infoclone from this tree's src."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_fresh_env())
@@ -674,13 +686,14 @@ EXACT_TRANSFORM_CSV = (
 def test_exact_report_bytes_on_stdout(argv, expected, tmp_path):
     settings = {"command": "transform", "couplings": [3, 4], "time": 0, "alpha": [1.5, -0.5], "beta": "2,1"}
     (tmp_path / "config.json").write_text(json.dumps(settings))
-    proc = subprocess.run(
-        [sys.executable, "-m", "infoclone", *argv],
-        capture_output=True,
-        cwd=tmp_path,
-        env=_fresh_env(),
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+    for flags in STDOUT_FLAGS:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "infoclone", *argv],
+            capture_output=True,
+            cwd=tmp_path,
+            env=_buffered_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b""), flags
 
 
 # README's error examples. An InfoCloneError prints one line, pinned whole.
@@ -717,23 +730,27 @@ def test_exact_report_bytes_on_stdout(argv, expected, tmp_path):
     ids=["estimate-overflow", "offset-overflow", "transform-overflow", "couplings-empty-item", "alpha-nan"],
 )
 def test_exact_error_bytes_on_stderr(argv, expected):
-    proc = subprocess.run([sys.executable, "-m", "infoclone", *argv], capture_output=True, env=_fresh_env())
-    *usage, last = proc.stderr.splitlines(keepends=True)
-    assert (proc.returncode, proc.stdout, last) == (2, b"", expected)
-    if expected.startswith(b"error: "):
-        assert usage == []
-    else:
-        assert usage[0].startswith(b"usage: infoclone ")
+    for flags in STDOUT_FLAGS:
+        command = [sys.executable, *flags, "-m", "infoclone", *argv]
+        proc = subprocess.run(command, capture_output=True, env=_buffered_env())
+        *usage, last = proc.stderr.splitlines(keepends=True)
+        assert (proc.returncode, proc.stdout, last) == (2, b"", expected), flags
+        if expected.startswith(b"error: "):
+            assert usage == []
+        else:
+            assert usage[0].startswith(b"usage: infoclone ")
 
 
-def _buffered_env() -> dict:
-    """_fresh_env() without PYTHONUNBUFFERED, so that stdout is buffered."""
-    env = _fresh_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
+def test_overflowing_campaign_is_refused_at_its_first_chunk():
+    # MAX_TRIALS trials would take about 100 s; the first chunk's sum already
+    # overflows, and no later chunk can make it finite
+    argv = ["estimate", "--n-copies", "2", "--alpha=1e308,0", "--trials", str(MAX_TRIALS)]
+    proc = subprocess.run([sys.executable, "-m", "infoclone", *argv], capture_output=True, env=_fresh_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: InfoCloneError: alpha = (1e+308+0j) with beta = 0j overflows a double")
 
 
-@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags", STDOUT_FLAGS, ids=["buffered", "unbuffered"])
 def test_report_to_a_closed_pipe_fails(flags):
     # 300 ancillas: a 2,185,011-byte report, far more than a pipe holds. Under
     # python -u a write to the pipe may take only part of the report; the
@@ -814,17 +831,19 @@ def test_campaign_process_peak_matches_transform():
 
 
 def test_no_command_imports_a_third_party_module_but_numpy():
-    # the campaigns load the pipeline's modules and, outside the stdlib,
-    # numpy alone, not numpy.random; oracle adds infoclone.fock and nothing
-    # else; a bare import loads none
+    # importing the CLI and transform load the modules parsing needs; the
+    # campaigns add infoclone.estimation and, outside the stdlib, numpy
+    # alone, not numpy.random; oracle adds infoclone.fock and nothing else;
+    # a bare import loads none
     proc = _fresh_python(str(Path(__file__).with_name("import_boundary.py")))
     assert proc.returncode == 0, proc.stderr
-    pipeline = ["infoclone", "infoclone.cli", "infoclone.errors", "infoclone.estimation", "infoclone.transform"]
+    parsing = ["infoclone", "infoclone.cli", "infoclone.errors", "infoclone.transform"]
+    pipeline = sorted([*parsing, "infoclone.estimation"])
     oracle = sorted([*pipeline, "infoclone.fock"])
     assert json.loads(proc.stdout) == {
         "import infoclone": ["infoclone"],
-        "import infoclone.cli": pipeline,
-        "transform": pipeline,
+        "import infoclone.cli": parsing,
+        "transform": parsing,
         "estimate": pipeline,
         "sweep": pipeline,
         "infoclone.no_such_name": pipeline,
@@ -832,6 +851,20 @@ def test_no_command_imports_a_third_party_module_but_numpy():
         "--format csv": oracle,
         "--config": oracle,
     }
+
+
+def test_oracle_never_loads_the_campaigns():
+    script = (
+        "import os, sys\n"
+        "from infoclone.cli import main\n"
+        "assert main(['oracle', '--couplings', '1,1', '--time', '1', '--cutoff', '10', '--out', os.devnull]) == 0\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.split('.')[0] == 'infoclone')))\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "infoclone", "infoclone.cli", "infoclone.errors", "infoclone.fock", "infoclone.transform"
+    ]
 
 
 def test_usage_error_exit_code():

@@ -40,9 +40,9 @@ def coherent_vector(alpha, cutoff):
 
 
 def evolved(v, config, cutoff):
-    """exp(A) v on the whole basis at cutoff, as one band."""
+    """exp(A) v on the whole basis at cutoff, as one band; v is left as it is."""
     n_modes = len(config.couplings) + 1
-    return _evolve_band(_rows(n_modes, 0, cutoff), v, _reduced_angle(config), config, cutoff)
+    return _evolve_band(_rows(n_modes, 0, cutoff), v.copy(), _reduced_angle(config), config, cutoff)
 
 
 def top_sector(amps, cutoff):
