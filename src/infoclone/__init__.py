@@ -7,17 +7,23 @@ map to estimate the held amplitude with its predicted bias and spread. A
 truncated number-basis oracle cross-checks the transform dynamics, and a CLI
 drives reproducible, machine-readable experiments.
 
-The public names, and the submodules ``errors``, ``estimation`` and
-``transform``, load on first use (PEP 562). So a bare ``import infoclone``
-imports no numpy, and ``python -m infoclone`` loads the CLI, and then the
-modules its command runs, before numpy. When Python writes no bytecode
-cache (``PYTHONDONTWRITEBYTECODE=1``, or a read-only install without one),
-every run compiles those modules from source; done before numpy's import,
-that compile's freed memory is reused by numpy instead of raising the
-process's peak.
+A bare ``import infoclone`` loads ``errors`` and ``transform``, neither of
+which imports numpy. ``run_trials``, and ``infoclone.estimation`` that
+defines it, need numpy, so they load on first use (PEP 562): ``import
+infoclone`` and ``infoclone --help`` load no numpy.
 """
 
 from importlib import import_module as _import_module
+
+from .errors import InfoCloneError
+from .transform import (
+    CouplingConfig,
+    StrategyKind,
+    StrategySpec,
+    apply_transform,
+    build_transform,
+    orthogonality_residual,
+)
 
 __version__ = "0.1.0"
 
@@ -32,22 +38,9 @@ __all__ = [
     "run_trials",
 ]
 
-# the module that defines each public name
-_HOMES = {"InfoCloneError": "errors", "run_trials": "estimation"}
-_HOMES.update((name, "transform") for name in __all__ if name not in _HOMES)
-# the names' modules, which are attributes of the package too
-_SUBMODULES = {"errors", "estimation", "transform"}
-
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        return _import_module(f".{name}", __name__)
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{_HOMES[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    if name in ("estimation", "run_trials"):
+        estimation = _import_module(".estimation", __name__)
+        return estimation if name == "estimation" else estimation.run_trials
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,15 +18,19 @@ matrix functions, ``oracle`` with ``infoclone.fock`` and the campaigns with
 ``infoclone.estimation``. So every module a command runs is compiled before
 numpy loads, and ``--help``, usage errors and config errors never load it.
 
-After the command, ``main`` freezes the garbage collector's view of what was
-imported, once per process (``gc.freeze``). None of numpy's and the package's
-~21,000 tracked import-time objects is garbage, yet the interpreter's
-shutdown collection would traverse them all: about 14 ms of the 0.13-0.15 s
-a benchmark command takes from spawn to exit. The freeze is O(1) and
-allocates nothing; its cost is that a frozen object which later becomes
-cyclic garbage is not collected before exit. Later calls in the same process
-do not freeze again, so they do not pin the garbage that earlier calls (a
-test suite's, say) left pending.
+Before numpy loads, ``main`` defaults ``OPENBLAS_NUM_THREADS`` to 1, unless
+the environment sets it: numpy's import would start OpenBLAS worker threads,
+which spin beside the main thread, and no command makes a BLAS call large
+enough to use them.
+
+Once numpy is loaded, ``main`` freezes the garbage collector as it returns,
+on success or failure, once per process (``gc.freeze``). None of the ~21,000
+objects that numpy's and the package's imports leave tracked is garbage, yet
+the shutdown collection would traverse them all: about 14 ms of the
+0.13-0.15 s a benchmark command takes from spawn to exit. The freeze is O(1)
+and allocates nothing; a frozen object that later becomes cyclic garbage is
+not collected before exit. Later calls do not freeze again, so they do not
+pin the garbage that earlier calls (a test suite's, say) left pending.
 """
 
 from __future__ import annotations
@@ -476,16 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         cfg = resolve_config(argv)
         code, report = cfg["run"](cfg)
-        # Move everything imported so far, numpy's import graph by now, out of
-        # the collector's generations, so that the shutdown collection does not
-        # traverse it; none of it is garbage. After the command, which imports
-        # numpy, and once per process: a second freeze would pin what the
-        # first call left.
-        if not gc.get_freeze_count():
-            gc.freeze()
         _write_output(render_report(report, cfg["format"]), cfg["out"])
         return code
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
@@ -493,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if "numpy" in sys.modules and not gc.get_freeze_count():
+            gc.freeze()
 
 
 def console_main() -> None:

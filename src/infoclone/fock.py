@@ -35,8 +35,9 @@ below the evolution's rounding of a few 1e-15. overlap takes sectors 0..K'
 in bands of whole, consecutive sectors, of at most _BAND_ROWS rows unless one
 sector is larger, builds each band's rows and the input and the prediction
 on them, evolves the input and sums: no basis or state is built whole. Norms
-and overlaps are ufunc sums, not BLAS calls: the first BLAS call on a long
-vector wakes OpenBLAS's worker thread, which spins until the run ends.
+and overlaps are ufunc sums, not BLAS calls: in a process whose OpenBLAS
+has worker threads (the CLI starts none unless OPENBLAS_NUM_THREADS asks for
+them), a BLAS call on a long vector wakes one, which spins until the run ends.
 """
 
 from __future__ import annotations

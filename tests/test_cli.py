@@ -610,13 +610,10 @@ def test_module_entry_point(tmp_path):
 
 
 def test_public_names_resolve_after_a_bare_import():
-    # a bare import loads no module of the package (import_boundary.py); each
-    # name, and each submodule it used to bind, loads on first use, and dir
-    # lists them before
+    # a bare import loads errors and transform (import_boundary.py);
+    # run_trials, and the estimation module that defines it, load on first use
     script = (
         "import json, infoclone\n"
-        "submodules = {'errors', 'estimation', 'transform'}\n"
-        "assert {*infoclone.__all__, *submodules} <= set(dir(infoclone)), dir(infoclone)\n"
         "assert infoclone.transform.CouplingConfig is infoclone.CouplingConfig\n"
         "assert infoclone.estimation.MAX_TRIALS > 0 and infoclone.errors.InfoCloneError\n"
         "print(json.dumps({name: getattr(infoclone, name).__module__ for name in infoclone.__all__}))\n"
@@ -750,6 +747,46 @@ def test_overflowing_campaign_is_refused_at_its_first_chunk():
     assert proc.stderr.startswith(b"error: InfoCloneError: alpha = (1e+308+0j) with beta = 0j overflows a double")
 
 
+def test_a_command_that_fails_after_numpy_loads_freezes_the_collector():
+    # else its exit traverses numpy's import graph: about 11 ms
+    script = (
+        "import contextlib, gc, io\n"
+        "from infoclone.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(['estimate', '--n-copies', '2', '--alpha=1e308,0', '--trials', '2000'])\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.stdout.split() == ["2", "True"], proc.stderr
+
+
+# Runs transform in process; prints the process's threads after it, and
+# OPENBLAS_NUM_THREADS after the imports and after main.
+_BLAS_THREADS = (
+    "import os, infoclone\n"
+    "from infoclone.cli import main\n"
+    "given = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+    "assert main(['transform', '--couplings', '1,1', '--time', '0.5', '--out', os.devnull]) == 0\n"
+    "print(len(os.listdir('/proc/self/task')), given, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="/proc/self/task lists the threads on Linux")
+def test_a_computing_command_runs_one_blas_thread():
+    env = _fresh_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def run(script, **given):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**env, **given})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert run(_BLAS_THREADS) == ["1", "None", "1"]
+    # the user's value is kept; a process that loaded numpy first is left as it is
+    assert run(_BLAS_THREADS, OPENBLAS_NUM_THREADS="4")[1:] == ["4", "4"]
+    assert run("import numpy\n" + _BLAS_THREADS)[1:] == ["None", "None"]
+
+
 @pytest.mark.parametrize("flags", STDOUT_FLAGS, ids=["buffered", "unbuffered"])
 def test_report_to_a_closed_pipe_fails(flags):
     # 300 ancillas: a 2,185,011-byte report, far more than a pipe holds. Under
@@ -834,14 +871,14 @@ def test_no_command_imports_a_third_party_module_but_numpy():
     # importing the CLI and transform load the modules parsing needs; the
     # campaigns add infoclone.estimation and, outside the stdlib, numpy
     # alone, not numpy.random; oracle adds infoclone.fock and nothing else;
-    # a bare import loads none
+    # a bare import loads errors and transform, neither of which needs numpy
     proc = _fresh_python(str(Path(__file__).with_name("import_boundary.py")))
     assert proc.returncode == 0, proc.stderr
     parsing = ["infoclone", "infoclone.cli", "infoclone.errors", "infoclone.transform"]
     pipeline = sorted([*parsing, "infoclone.estimation"])
     oracle = sorted([*pipeline, "infoclone.fock"])
     assert json.loads(proc.stdout) == {
-        "import infoclone": ["infoclone"],
+        "import infoclone": ["infoclone", "infoclone.errors", "infoclone.transform"],
         "import infoclone.cli": parsing,
         "transform": parsing,
         "estimate": pipeline,
