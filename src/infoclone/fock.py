@@ -241,20 +241,21 @@ def _add_generator(out: np.ndarray, x: np.ndarray, offset: int, moves, part: np.
     """out += G x for the generator G given as per-ancilla moves.
 
     The move of ancilla j sends row source[i] to row offset + i with weight
-    weight[i]. Its negative transpose is a gather too, not a scatter: row r
-    reads row partner[r] with weight back[r], zero where n_j = 0 (a scatter
-    is slower). The products go through part, a buffer of x's size: a fresh
-    array per gather costs page faults whenever malloc hands its memory back.
-    mode="clip" gathers straight into part; the default mode buffers.
+    weight[i], one gather; its negative transpose sends row offset + i back
+    to row source[i] with weight -weight[i], one scatter. Both touch only the
+    rows that move. The products go through head, the start of part: a fresh
+    array per call costs page faults whenever malloc hands its memory back.
+    weight is complex, as numpy has no complex-by-float loop and would cast
+    it through a buffer; mode="clip" gathers straight into head, as the
+    default mode buffers.
     """
-    for source, weight, partner, back in moves:
+    for source, weight in moves:
         head = part[: len(source)]
         x.take(source, out=head, mode="clip")
         head *= weight
         out[offset:] += head
-        x.take(partner, out=part, mode="clip")
-        part *= back
-        out += part
+        np.multiply(x[offset:], weight, out=head)
+        np.subtract.at(out, source, head)
 
 
 def _bands(n_modes: int, top: int) -> list[tuple[int, int]]:
@@ -300,8 +301,9 @@ def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: Couplin
     basis holds the band's rows in basis order and v their amplitudes, which
     the recurrence overwrites. The rows with n_held >= 1 come last, and the
     move of ancilla j maps the rows with n_j >= 1, in order, one to one onto
-    them, so A is applied by slicing and two gathers per ancilla, without a
-    sparse matrix.
+    them, so A is applied by slicing, one gather and one scatter per ancilla,
+    without a sparse matrix: each ancilla keeps one table of the rows that
+    move and one of their weights, sized by those rows, not by the band.
 
     exp(A) v is the Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984)
     J_0(rho) v + 2 sum_k J_k(rho) chi_k, with chi_0 = v, chi_1 = A v / rho
@@ -318,17 +320,12 @@ def _evolve_band(basis: np.ndarray, v: np.ndarray, angle: float, config: Couplin
     # 2 A / rho = (2 / top) sign(R*t) A / (R*t): r / R cannot overflow. The
     # vacuum, top = 0, has no moves.
     scale = math.copysign(2.0 / max(top, 1), angle)
-    size = len(basis)
-    offset = size - np.count_nonzero(basis[:, 0])
+    offset = len(basis) - np.count_nonzero(basis[:, 0])
     moves = []
     for j, r in enumerate(config.couplings, start=1):
         (source,) = np.nonzero(basis[:, j])
         weight = r / config.norm * scale * np.sqrt((basis[source, 0] + 1.0) * basis[source, j])
-        partner = np.zeros(size, dtype=np.intp)
-        partner[source] = np.arange(offset, size)
-        back = np.zeros(size)
-        back[source] = -weight
-        moves.append((source, weight, partner, back))
+        moves.append((source, weight.astype(complex)))
     evolved = coeffs[0] * v
     # two buffers, ping-ponged: chi_{k+1} overwrites chi_{k-1}, chi_2 v itself
     prev, cur, part = v, np.zeros_like(v), np.empty_like(v)

@@ -3,8 +3,8 @@
 Run it with infoclone importable: from a checkout as
 `PYTHONPATH=src python tests/import_boundary.py`, or from any directory
 against an installed package. It loads the report schema and runs every
-command, the oracle at K' = 0, 1 and K among them, then one CSV report and
-one config file. It fails if
+command, the oracle at K' = 0, 1 and K and with 12 ancillas among them,
+then one CSV report and one config file. It fails if
 - a step imports a third-party module other than numpy, numpy.random (nine
   extension modules and about 5 MB, which the campaigns' own Philox stream
   replaces), or dataclasses (which pulls in copy);
@@ -129,6 +129,9 @@ for argv in (
     # sector 1 weighs 9e-10 and the sectors above it 4e-19, so K' = 1:
     # finding it probes k = 0
     ["oracle", "--couplings", "1", "--time", "1", "--alpha=3e-5,0", "--cutoff", "5"],
+    # 12 distinct couplings at cutoff 3, 560 rows: each ancilla moves 105
+    ["oracle", "--couplings", ",".join(repr(0.5 + k / 12) for k in range(12)), "--time", "1",
+     "--alpha", "0.3,0", "--beta", "0.05,0", "--cutoff", "3"],
 ):
     run(argv)
 step("oracle")

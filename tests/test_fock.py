@@ -84,6 +84,10 @@ def band_calls(n_modes, top):
 # The traced peak of an oracle run, whatever its K': it holds one band's rows,
 # states and move tables at a time, and no array sized by sectors 0..K'
 ORACLE_TRACED_PEAK = 1_588_000
+# The traced peak of the 20-ancilla run at cutoff 4, whose sector 4 is one
+# band of 10,626 rows: move tables sized by the band, one per ancilla, took
+# it to 5.5 MB; tables sized by the rows that move keep it near 2.3 MB
+MANY_ANCILLA_TRACED_PEAK = 3_000_000
 
 
 def zero_time_fidelity(a, b, cutoff):
@@ -347,6 +351,10 @@ DENSE_CASES = [
     ([0.8, -0.6], 2.1, 10),
     ([0.5, 1.1, -0.7], math.pi - 1e-6, 6),
     ([0.5, 1.1, -0.7], -0.4, 6),
+    # many distinct couplings at a low cutoff: most rows of a band never move
+    ([0.5 + k / 8 for k in range(8)], math.pi - 1e-6, 3),
+    ([0.5 + k / 8 for k in range(8)], -2.2, 3),
+    ([1.2, -0.4, 0.9, -1.5, 0.3], 1.9, 3),
 ]
 
 
@@ -623,6 +631,16 @@ class TestSectorBound:
         argv = ["oracle", "--couplings", "1", "--time", "1", "--alpha=12,0", "--cutoff", "1412"]
         assert top_sector([12.0, 0.0], 1412) == 257
         assert self.traced_peak(argv, tmp_path / "report.json") <= ORACLE_TRACED_PEAK
+
+    def test_oracle_run_of_many_distinct_ancillas(self, tmp_path):
+        # 20 distinct couplings at cutoff 4: 12,650 rows, of which sector 4
+        # alone is a band of 10,626, where each ancilla moves 1,771 rows
+        couplings = ",".join(repr(0.5 + k / 20) for k in range(20))
+        argv = [
+            "oracle", "--couplings", couplings, "--time", "1.5", "--alpha", "0.5,0", "--beta", "0.1,0", "--cutoff", "4",
+        ]
+        assert fock._bands(21, 4)[-1] == (4, 4)
+        assert self.traced_peak(argv, tmp_path / "report.json") <= MANY_ANCILLA_TRACED_PEAK
 
 
 class TestOverlap:
