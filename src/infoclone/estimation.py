@@ -46,14 +46,12 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # Trials drawn, estimated and reduced at a time. A chunk's arrays take 32
-# bytes a trial, 2.1 MB, and the stream's work arrays 0.5 MB more:
-# tracemalloc reads a 2.7 MB peak for any campaign of at least one chunk.
-_CHUNK = 2**16
-# Trials whose Philox blocks are computed at a time, in work arrays of 56
-# bytes a trial. Smaller blocks pay numpy's per-call overhead more often, and
-# whole chunks fall out of cache: a campaign took 1.5x as long with blocks of
-# 2^11 trials and 1.2x with blocks of 2^16.
-_BLOCK = 2**13
+# bytes a trial and the stream's work arrays 56 more, 0.72 MB in all:
+# tracemalloc reads a 0.86 MB peak for any campaign of at least one chunk.
+# Smaller chunks pay numpy's per-call overhead more often, and larger ones
+# fall out of cache: on a 2-CPU Linux VM a campaign took 1.35x as long with
+# chunks of 2^12 trials and 1.2x with chunks of 2^16.
+_CHUNK = 2**13
 # Philox4x32-10's multipliers, key increments and rounds (Salmon et al. 2011)
 _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
@@ -115,11 +113,11 @@ class _NormalStream:
     output words w0..w3 give u1 = ((w0*2^32 + w1) >> 11)*2^-53 and u2 the same
     way from w2 and w3, and Box and Muller's map gives the pair
     sqrt(-2*log1p(-u1))*(cos(2*pi*u2), sin(2*pi*u2)), from numpy's log1p,
-    sqrt, cos and sin. The work arrays, for up to block trials at a time, are
+    sqrt, cos and sin. The work arrays, for up to size trials at a time, are
     allocated once, here.
     """
 
-    def __init__(self, seed: int, block: int):
+    def __init__(self, seed: int, size: int):
         k0, k1 = seed & _MASK32, seed >> 32
         # A round multiplies the even words (c0, c2) and mixes each product
         # into the other pair. The words are held as the pairs (c0, c2) and
@@ -132,8 +130,8 @@ class _NormalStream:
             if r % 2:
                 multipliers, keys = multipliers[::-1], keys[::-1]
             self._rounds.append((np.array(multipliers, np.uint64)[:, None], np.array(keys, np.uint64)[:, None]))
-        self._counts = np.arange(block, dtype=np.uint64)
-        self._work = np.empty((3, 2, block), np.uint64)
+        self._counts = np.arange(size, dtype=np.uint64)
+        self._work = np.empty((3, 2, size), np.uint64)
 
     def words(self, first: int, n: int) -> np.ndarray:
         """The blocks of trials first, ..., first + n - 1 as a (2, n) view of
@@ -155,24 +153,22 @@ class _NormalStream:
         return product
 
     def fill(self, first: int, out: np.ndarray) -> np.ndarray:
-        """Write the pairs of trials first, first + 1, ... into the rows of out."""
-        block = self._counts.size
-        for start in range(0, len(out), block):
-            pair = out[start : start + block]
-            n = len(pair)
-            words = self.words(first + start, n)
-            words >>= 11
-            # the spent even and odd work arrays hold the floats
-            radius, angle = uniform = self._work[0, :, :n].view(np.float64)
-            np.multiply(words, _UNIFORM_SCALE, out=uniform)
-            np.log1p(radius, out=radius)
-            radius *= -2.0
-            np.sqrt(radius, out=radius)
-            cos = self._work[1, 0, :n].view(np.float64)
-            np.cos(angle, out=cos)
-            np.multiply(radius, cos, out=pair[:, 0])
-            np.sin(angle, out=angle)
-            np.multiply(radius, angle, out=pair[:, 1])
+        """Write the pairs of trials first, first + 1, ... into the rows of
+        out, which has at most size rows."""
+        n = len(out)
+        words = self.words(first, n)
+        words >>= 11
+        # the spent even and odd work arrays hold the floats
+        radius, angle = uniform = self._work[0, :, :n].view(np.float64)
+        np.multiply(words, _UNIFORM_SCALE, out=uniform)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        cos = self._work[1, 0, :n].view(np.float64)
+        np.cos(angle, out=cos)
+        np.multiply(radius, cos, out=out[:, 0])
+        np.sin(angle, out=angle)
+        np.multiply(radius, angle, out=out[:, 1])
         return out
 
 
@@ -222,8 +218,8 @@ def run_trials(
     Muller's map); the cost does not depend on N. The trials are drawn,
     estimated and reduced _CHUNK at a time, so the memory does not depend on
     n_trials either; a trial's pair depends on the seed and i alone, whatever
-    the chunk or block it falls in. The row is reproducible bit for bit, and a
-    longer campaign with the same seed starts with the same trials. std_re and
+    the chunk it falls in. The row is reproducible bit for bit, and a longer
+    campaign with the same seed starts with the same trials. std_re and
     std_im are sample standard deviations (n_trials - 1 divisor) of the
     per-trial estimates' quadratures; theory_std_re and theory_std_im are
     their predicted values. Each chunk is reduced to its count, mean and
@@ -244,7 +240,7 @@ def run_trials(
     n_position, n_momentum = group_sizes(strategy.n_copies)
     center_y, spread_y = _SQRT2 * gamma.real, math.sqrt(2.0 * n_position)
     center_z, spread_z = _SQRT2 * gamma.imag, math.sqrt(2.0 * n_momentum)
-    stream = _NormalStream(seed, min(_BLOCK, m))
+    stream = _NormalStream(seed, min(_CHUNK, m))
     # one buffer holds a chunk's normals, then its group averages y and z
     # (in place), then its deviations: only the estimates are allocated per
     # chunk, so every chunk after the first reuses the first one's memory

@@ -847,10 +847,10 @@ def test_oracle_process_peak_follows_the_occupied_sectors():
 
 
 def test_campaign_process_peak_does_not_grow_with_its_trials():
-    # one chunk of 2^16 trials against 46 chunks: a campaign's arrays are one
+    # one chunk of 2^13 trials against 367 chunks: a campaign's arrays are one
     # chunk's, so the long run peaks no higher (about 180 MB higher when
     # every trial was held at once)
-    one_chunk = process_peak(["estimate", "--trials", "65536"], 10)
+    one_chunk = process_peak(["estimate", "--trials", "8192"], 10)
     assert process_peak(["estimate", "--trials", "3000000"], 10) - one_chunk <= 1
 
 

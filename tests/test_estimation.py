@@ -9,7 +9,6 @@ import pytest
 
 from infoclone import InfoCloneError, StrategySpec, run_trials
 from infoclone.estimation import (
-    _BLOCK,
     _CHUNK,
     MAX_TRIALS,
     _NormalStream,
@@ -22,6 +21,11 @@ from infoclone.transform import CouplingConfig, apply_transform, build_transform
 from reference import box_muller, campaign_words, measure_clones
 
 SQRT2 = math.sqrt(2.0)
+# The traced peak of run_trials at any number of trials: one chunk's arrays
+# and the stream's work arrays, 88 bytes a trial or 720,896 B, and numpy's
+# own buffers. On a 2-CPU Linux VM (Python 3.11, numpy 2.4) tracemalloc read
+# 858,920 to 859,296 B from 2^13 to 10^7 trials, so the bound leaves 16 %.
+CAMPAIGN_TRACED_PEAK = 1_000_000
 
 
 def noise_free_record(gamma):
@@ -256,6 +260,7 @@ class TestRunTrials:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0]
+        assert max(peaks) <= CAMPAIGN_TRACED_PEAK, peaks
 
     @pytest.mark.parametrize(
         "n, trials",
@@ -330,19 +335,22 @@ class TestNormalStream:
                 expected = [campaign_words(seed, first + j) for j in range(8)]
                 assert [tuple(map(int, pair)) for pair in words.T] == expected, (seed, first)
 
-    def test_pairs_match_the_reference_across_blocks(self):
-        # a 5-trial block, so the 12 pairs take three blocks, the last partial
+    def test_pairs_match_the_reference_across_the_low_word_wrap(self):
+        # the counters' low word wraps after the sixth pair; a campaign's last
+        # chunk fills fewer rows than the stream was sized for
         seed, first = 2**63 + 7, 2**32 - 6
-        pairs = _NormalStream(seed, 5).fill(first, np.empty((12, 2)))
-        assert np.array_equal(pairs, box_muller([campaign_words(seed, first + j) for j in range(12)]))
+        stream = _NormalStream(seed, 12)
+        for n in (12, 7):
+            pairs = stream.fill(first, np.empty((n, 2)))
+            assert np.array_equal(pairs, box_muller([campaign_words(seed, first + j) for j in range(n)])), n
 
     def test_pairs_are_independent_standard_normals(self):
         # 2^20 pairs of one seed and of the next. Each of the 13 checks below
         # fails a right stream with probability about 1e-6, so the test does
         # with about 1.3e-5.
         n, seed = 2**20, 20261020
-        pairs = _NormalStream(seed, _BLOCK).fill(0, np.empty((n, 2)))
-        following = _NormalStream(seed + 1, _BLOCK).fill(0, np.empty((n, 2)))
+        pairs = _NormalStream(seed, n).fill(0, np.empty((n, 2)))
+        following = _NormalStream(seed + 1, n).fill(0, np.empty((n, 2)))
         z = NormalDist().inv_cdf(1.0 - 0.5e-6)  # a two-sided 1e-6 bound, in SE
         # the chi-square quantile at 1 - 1e-6 for 63 degrees of freedom,
         # after Wilson and Hilferty (1931)
