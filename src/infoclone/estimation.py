@@ -45,9 +45,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Trials drawn, estimated and reduced at a time. A chunk's arrays take 32
-# bytes a trial and the stream's work arrays 56 more, 0.72 MB in all:
-# tracemalloc reads a 0.86 MB peak for any campaign of at least one chunk.
+# Trials drawn, estimated and reduced at a time. The stream's counters and
+# work arrays take 56 bytes a trial, 0.46 MB in all, and a chunk's normals,
+# group averages, estimates and deviations are written in them: tracemalloc
+# reads a 0.47 MB peak for any campaign of at least one chunk.
 # Smaller chunks pay numpy's per-call overhead more often, and larger ones
 # fall out of cache: on a 2-CPU Linux VM a campaign took 1.35x as long with
 # chunks of 2^12 trials and 1.2x with chunks of 2^16.
@@ -60,8 +61,8 @@ _MASK32 = 2**32 - 1
 # A 53-bit integer k times these gives -u and 2*pi*u for u = k*2^-53, bit for
 # bit: they are -1 and 2*pi scaled by a power of two
 _UNIFORM_SCALE = np.array([[-(2.0**-53)], [2.0 * math.pi * 2.0**-53]])
-# The longest campaign accepted. At about 100 ns a trial it runs for about 100 s
-# (102 s on a 2-CPU Linux VM); a larger count is refused at once instead of
+# The longest campaign accepted. At about 90 ns a trial it runs for about 90 s
+# (93 s on a 2-CPU Linux VM); a larger count is refused at once instead of
 # running for hours.
 MAX_TRIALS = 10**9
 
@@ -88,6 +89,11 @@ def estimate_alpha(y, z, strategy: StrategySpec):
     """
     shifted = z * 1j
     shifted += y
+    return _invert(shifted, strategy)
+
+
+def _invert(shifted, strategy: StrategySpec):
+    """The estimates from y + i*z, a number or a complex array it overwrites."""
     shifted /= _SQRT2
     shifted -= strategy.offset_scale * strategy.beta
     shifted /= strategy.signal_scale
@@ -132,6 +138,7 @@ class _NormalStream:
             self._rounds.append((np.array(multipliers, np.uint64)[:, None], np.array(keys, np.uint64)[:, None]))
         self._counts = np.arange(size, dtype=np.uint64)
         self._work = np.empty((3, 2, size), np.uint64)
+        self._pairs = self._work[2].view(np.float64).reshape(size, 2)
 
     def words(self, first: int, n: int) -> np.ndarray:
         """The blocks of trials first, ..., first + n - 1 as a (2, n) view of
@@ -152,40 +159,46 @@ class _NormalStream:
         product |= odd
         return product
 
-    def fill(self, first: int, out: np.ndarray) -> np.ndarray:
-        """Write the pairs of trials first, first + 1, ... into the rows of
-        out, which has at most size rows."""
-        n = len(out)
+    def fill(self, first: int, n: int) -> np.ndarray:
+        """The pairs of trials first, ..., first + n - 1, n at most size, as
+        the rows of a C-contiguous (n, 2) view of the work arrays."""
         words = self.words(first, n)
         words >>= 11
-        # the spent even and odd work arrays hold the floats
+        # the spent even and odd work arrays hold the floats, and the spent
+        # words' array the pairs
         radius, angle = uniform = self._work[0, :, :n].view(np.float64)
-        np.multiply(words, _UNIFORM_SCALE, out=uniform)
+        # a ufunc that casts buffers the words, 64 KB a call and 48 bytes a
+        # trial for the last chunk of a part-filled stream; words below 2^53
+        # convert exactly
+        np.copyto(uniform, words, casting="unsafe")
+        uniform *= _UNIFORM_SCALE
         np.log1p(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
         cos = self._work[1, 0, :n].view(np.float64)
         np.cos(angle, out=cos)
+        out = self._pairs[:n]
         np.multiply(radius, cos, out=out[:, 0])
         np.sin(angle, out=angle)
         np.multiply(radius, angle, out=out[:, 1])
         return out
 
 
-def _chunk_moments(estimates: np.ndarray, scratch: np.ndarray) -> tuple[int, complex, float, float]:
+def _chunk_moments(estimates: np.ndarray) -> tuple[int, complex, float, float]:
     """(count, mean, M2_re, M2_im) of one chunk's estimates.
 
     M2 is a quadrature's sum of squared deviations from its own mean, in the
     arithmetic of numpy's std, so sqrt(M2/(count - 1)) is std(ddof=1) to the
-    bit. The deviations are written into scratch, a (count, 2) float array.
+    bit. The deviations overwrite the estimates, once their mean is taken.
     """
     count = estimates.size
+    mean = complex(estimates.mean())
     m2 = []
-    for part, deviation in zip((estimates.real, estimates.imag), scratch.T):
-        np.subtract(part, part.sum() / count, out=deviation)
-        np.square(deviation, out=deviation)
-        m2.append(float(deviation.sum()))
-    return count, complex(estimates.mean()), m2[0], m2[1]
+    for part in (estimates.real, estimates.imag):
+        np.subtract(part, part.sum() / count, out=part)
+        np.square(part, out=part)
+        m2.append(float(part.sum()))
+    return count, mean, m2[0], m2[1]
 
 
 def _merge(a: tuple, b: tuple) -> tuple[int, complex, float, float]:
@@ -241,22 +254,20 @@ def run_trials(
     center_y, spread_y = _SQRT2 * gamma.real, math.sqrt(2.0 * n_position)
     center_z, spread_z = _SQRT2 * gamma.imag, math.sqrt(2.0 * n_momentum)
     stream = _NormalStream(seed, min(_CHUNK, m))
-    # one buffer holds a chunk's normals, then its group averages y and z
-    # (in place), then its deviations: only the estimates are allocated per
-    # chunk, so every chunk after the first reuses the first one's memory
-    buffer = np.empty((min(_CHUNK, m), 2))
     moments = None
     with np.errstate(all="ignore"):
         for start in range(0, m, _CHUNK):
-            xi = stream.fill(start, buffer[: m - start])
+            # the stream's block of a chunk's normals becomes, in place, its
+            # group averages y and z, its estimates y + i*z and its
+            # deviations: no chunk allocates an array
+            xi = stream.fill(start, min(_CHUNK, m - start))
             y, z = xi.T
             y /= spread_y
             y += center_y
             z /= spread_z
             z += center_z
-            estimates = estimate_alpha(y, z, strategy)
-            chunk = _chunk_moments(estimates, xi)
-            del estimates
+            estimates = _invert(xi.view(np.complex128)[:, 0], strategy)
+            chunk = _chunk_moments(estimates)
             moments = chunk if moments is None else _merge(moments, chunk)
             _, mean, m2_re, m2_im = moments
             # a merge of a mean or M2 that is not finite is not finite either,

@@ -858,7 +858,7 @@ def test_campaign_process_peak_matches_transform():
     # a campaign's peak is numpy's import, the pipeline's modules and one
     # chunk's arrays, as a transform's is without the chunk: it imports no
     # numpy.random. On a 2-CPU Linux VM (Python 3.11, numpy 2.4) estimate
-    # read -0.05 to +0.09 MB above transform over 3 runs; with numpy.random,
+    # read -0.10 to +0.26 MB above transform over 8 runs; with numpy.random,
     # 5.0 to 5.1 MB above it.
     transform = process_peak(["transform", "--couplings", "1,1", "--time", "0.5"], 10)
     estimate = process_peak(
